@@ -49,8 +49,11 @@ using Clock = std::chrono::steady_clock;
  * Schema 8: bench_ext_soft_errors may merge an optional "softerr"
  * section (coverage, silent-rate, recovery-latency, and storage-cost
  * aggregates of the soft-error campaigns).
+ * Schema 9: "hostpf" drops direct_blocks_per_sec (the direct-mapped
+ * BlockCache is gone); warm_refill_speedup is now the scored fetcher's
+ * rate over the plain-LRU rate.
  */
-constexpr int kSchema = 8;
+constexpr int kSchema = 9;
 
 double
 secondsSince(Clock::time_point start)
@@ -235,14 +238,13 @@ main()
         return bps > 0 ? 1e9 / bps : 0.0;
     };
 
-    // --- 1d. Host block cache: direct-mapped memo vs scored prefetch --
-    // Warm-refill throughput of the three host caches on a sequential
+    // --- 1d. Host block cache: plain LRU memo vs scored prefetch -----
+    // Warm-refill throughput of the two host caches on a sequential
     // sweep over every block of the largest image. The image holds far
     // more blocks than the 64-slot cache, so every sweep is a full
-    // refill — the worst case the fetcher's speculative decode overlap
-    // is meant to win.
+    // refill — the worst case the fetcher's batched decode-ahead is
+    // meant to win.
     const unsigned hostpf_slots = 64;
-    codepack::BlockCache direct_cache(batch_decomp, hostpf_slots);
     codepack::BlockFetcher::Options lru_opts;
     lru_opts.slots = hostpf_slots;
     lru_opts.prefetch = false;
@@ -250,11 +252,6 @@ main()
     codepack::BlockFetcher::Options pf_opts;
     pf_opts.slots = hostpf_slots;
     codepack::BlockFetcher pf_fetch(batch_decomp, pf_opts);
-    auto directSweep = [&](u32 b) {
-        const codepack::DecodedBlock &blk = direct_cache.get(
-            b / codepack::kBlocksPerGroup, b % codepack::kBlocksPerGroup);
-        asm volatile("" : : "r"(blk.words[0]) : "memory");
-    };
     auto lruSweep = [&](u32 b) {
         const codepack::DecodedBlock &blk = lru_fetch.getFlat(b);
         asm volatile("" : : "r"(blk.words[0]) : "memory");
@@ -263,7 +260,7 @@ main()
         const codepack::DecodedBlock &blk = pf_fetch.getFlat(b);
         asm volatile("" : : "r"(blk.words[0]) : "memory");
     };
-    // One ~0.2 s timing window; the three caches take their windows
+    // One ~0.2 s timing window; the two caches take their windows
     // interleaved, rep by rep, so slow drift (turbo decay, a noisy
     // neighbor) hits all of them alike instead of biasing the ratio.
     auto window = [&](auto &&sweep) {
@@ -278,19 +275,17 @@ main()
         } while (elapsed < 0.2);
         return static_cast<double>(decoded) / elapsed;
     };
-    for (u32 b = 0; b < blocks; ++b) { // warm all three
-        directSweep(b);
+    for (u32 b = 0; b < blocks; ++b) { // warm both
         lruSweep(b);
         pfSweep(b);
     }
-    double direct_bps = 0, lru_bps = 0, fetcher_bps = 0;
+    double lru_bps = 0, fetcher_bps = 0;
     for (int rep = 0; rep < 5; ++rep) {
-        direct_bps = std::max(direct_bps, window(directSweep));
         lru_bps = std::max(lru_bps, window(lruSweep));
         fetcher_bps = std::max(fetcher_bps, window(pfSweep));
     }
     double warm_refill_speedup =
-        fetcher_bps / (direct_bps > 0 ? direct_bps : 1.0);
+        fetcher_bps / (lru_bps > 0 ? lru_bps : 1.0);
     u64 hostpf_issued = pf_fetch.prefetchIssued();
     u64 hostpf_hits = pf_fetch.prefetchHits();
     double hostpf_hit_rate =
@@ -464,15 +459,11 @@ main()
               strfmt("%.2fx (default kernel: %s)", decode_speedup,
                      codepack::decodeKernelName(
                          codepack::defaultDecodeKernel()))});
-    t.addRow({strfmt("host cache, direct-mapped %u", hostpf_slots),
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(direct_bps).c_str(),
-                     nsPerBlock(direct_bps))});
     t.addRow({strfmt("host cache, LRU %u, no prefetch", hostpf_slots),
               strfmt("%s blocks/s (%.1f ns/block)",
                      grouped(lru_bps).c_str(), nsPerBlock(lru_bps))});
     t.addRow({strfmt("host cache, scored prefetch %u", hostpf_slots),
-              strfmt("%s blocks/s (%.1f ns/block, %.2fx vs direct)",
+              strfmt("%s blocks/s (%.1f ns/block, %.2fx vs LRU)",
                      grouped(fetcher_bps).c_str(),
                      nsPerBlock(fetcher_bps), warm_refill_speedup)});
     t.addRow({"host prefetch accuracy",
@@ -564,7 +555,6 @@ main()
         "  },\n"
         "  \"hostpf\": {\n"
         "    \"slots\": %u,\n"
-        "    \"direct_blocks_per_sec\": %.0f,\n"
         "    \"lru_blocks_per_sec\": %.0f,\n"
         "    \"fetcher_blocks_per_sec\": %.0f,\n"
         "    \"warm_refill_speedup\": %.3f,\n"
@@ -615,7 +605,7 @@ main()
         checked_bps, lut_bps, lut2_bps, batched_bps,
         nsPerBlock(checked_bps), nsPerBlock(lut_bps),
         nsPerBlock(lut2_bps), nsPerBlock(batched_bps),
-        decode_speedup, hostpf_slots, direct_bps, lru_bps, fetcher_bps,
+        decode_speedup, hostpf_slots, lru_bps, fetcher_bps,
         warm_refill_speedup,
         static_cast<unsigned long long>(hostpf_issued),
         static_cast<unsigned long long>(hostpf_hits), hostpf_hit_rate,

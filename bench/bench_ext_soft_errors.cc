@@ -95,7 +95,7 @@ refetchCycles(const codepack::CompressedImage &img,
 
 /** Merges the "softerr" section into BENCH_simperf.json (no JSON
  *  parser: drop any previous softerr section, splice before the
- *  closing brace; a missing file gets a fresh schema-8 skeleton). */
+ *  closing brace; a missing file gets a fresh schema-9 skeleton). */
 bool
 writeSoftErrJson(const std::string &section)
 {
@@ -116,7 +116,7 @@ writeSoftErrJson(const std::string &section)
     std::string out;
     if (base.empty() || close == std::string::npos ||
         base.find("\"schema\"") == std::string::npos) {
-        out = "{\n  \"schema\": 8" + section + "\n}\n";
+        out = "{\n  \"schema\": 9" + section + "\n}\n";
     } else {
         std::string head = base.substr(0, close);
         while (!head.empty() &&

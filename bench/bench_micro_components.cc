@@ -88,27 +88,6 @@ BM_CodePackDecompressChecked(benchmark::State &state)
 BENCHMARK(BM_CodePackDecompressChecked);
 
 void
-BM_BlockCacheFetch(benchmark::State &state)
-{
-    // Re-fetching a small hot set through the memoized block cache —
-    // the common pattern in the software-decompression fetch path.
-    const BenchProgram &bench = goBench();
-    codepack::Decompressor d(bench.image);
-    codepack::BlockCache cache(d);
-    u32 blocks = std::min<u32>(bench.image.numBlocks(), 16);
-    u32 next = 0;
-    for (auto _ : state) {
-        const codepack::DecodedBlock &blk =
-            cache.get(next / codepack::kBlocksPerGroup,
-                      next % codepack::kBlocksPerGroup);
-        benchmark::DoNotOptimize(blk.words[0]);
-        next = (next + 1) % blocks;
-    }
-    state.SetItemsProcessed(static_cast<s64>(state.iterations()) * 16);
-}
-BENCHMARK(BM_BlockCacheFetch);
-
-void
 BM_CcrpCompress(benchmark::State &state)
 {
     auto words = goWords();

@@ -1,9 +1,6 @@
 #include "block_fetcher.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
-#include <thread>
 
 #include "common/logging.hh"
 
@@ -12,51 +9,14 @@ namespace cps
 namespace codepack
 {
 
-BlockFetcher::Options
-BlockFetcher::Options::fromEnv()
-{
-    Options o;
-    o.slots = defaultBlockCacheSlots();
-    if (const char *env = std::getenv("CPS_BLOCK_PREFETCH")) {
-        std::string v(env);
-        if (v == "0" || v == "off")
-            o.prefetch = false;
-        else if (v == "async")
-            o.async = true;
-        else if (!v.empty() && v != "1" && v != "sync")
-            envWarnOnce("CPS_BLOCK_PREFETCH", env, "0|off|sync|async");
-    }
-    return o;
-}
-
 BlockFetcher::BlockFetcher(const Decompressor &decomp, Options opts,
-                           StatSet *stats, SoftErrorDomain *domain)
+                           SoftErrorDomain *domain)
     : decomp_(decomp), opts_(opts), domain_(domain)
 {
     if (opts_.slots < 1)
         opts_.slots = 1;
     slab_.resize(opts_.slots);
     map_.assign(decomp_.image().numBlocks(), kInvalid);
-    if (stats) {
-        statHits_ = &stats->scalar("hostpf.hits");
-        statFills_ = &stats->scalar("hostpf.fills");
-        statPfIssued_ = &stats->scalar("hostpf.prefetch_issued");
-        statPfHits_ = &stats->scalar("hostpf.prefetch_hits");
-        // Registered only alongside a domain: the default stat roster
-        // (and thus every existing table/report) is untouched when
-        // protection is off.
-        if (domain_)
-            statPoisons_ = &stats->scalar("hostpf.poisons");
-    }
-}
-
-BlockFetcher::~BlockFetcher()
-{
-    // Draining the pool runs every remaining task; a span the consumer
-    // stole leaves its task a no-op. After the join nothing touches
-    // span storage.
-    pool_.reset();
-    inflight_.clear();
 }
 
 const DecodedBlock &
@@ -68,55 +28,11 @@ BlockFetcher::get(u32 group, u32 block)
 const DecodedBlock &
 BlockFetcher::getFlat(u32 flat)
 {
-    if (domain_) {
-        Result<const DecodedBlock *> r = tryGetFlat(flat);
-        if (!r)
-            cps_panic("getFlat on a failed soft-error domain: %s",
-                      r.error().describe().c_str());
-        return **r;
-    }
-    train(flat);
-    u32 i = map_[flat];
-    if (i != kInvalid) {
-        if (head_ != i) {
-            unlink(i);
-            pushFront(i);
-        }
-        Entry &e = slab_[i];
-        const DecodedBlock *blk = &e.blk;
-        if (e.span) {
-            SpecSpan &s = *e.span;
-            if (!s.done)
-                resolveSpan(s);
-            blk = &s.blks[e.lane];
-        }
-        if (e.prefetched) {
-            // First touch of a speculatively decoded block.
-            e.prefetched = false;
-            ++pfHits_;
-            if (statPfHits_)
-                statPfHits_->inc();
-        } else {
-            ++hits_;
-            if (statHits_)
-                statHits_->inc();
-        }
-        // The entry stays MRU through the speculative round (at most
-        // slots-1 inserts), so the returned reference — slab storage
-        // or span storage pinned by e.span — outlives the round.
-        issuePrefetches(flat);
-        return *blk;
-    }
-
-    u32 slot = claimSlot(flat);
-    Entry &e = slab_[slot];
-    e.blk = decomp_.decompressFlatBlock(flat);
-    pushFront(slot);
-    ++fills_;
-    if (statFills_)
-        statFills_->inc();
-    issuePrefetches(flat);
-    return e.blk;
+    Result<const DecodedBlock *> r = tryGetFlat(flat);
+    if (!r)
+        cps_panic("getFlat on a failed soft-error domain: %s",
+                  r.error().describe().c_str());
+    return **r;
 }
 
 Result<const DecodedBlock *>
@@ -135,31 +51,22 @@ BlockFetcher::tryGetFlat(u32 flat)
     train(flat);
     u32 i = map_[flat];
     if (i != kInvalid) {
-        Entry &e = slab_[i];
-        bool stale = lastCheck_ != FetchCheck::Clean;
-        if (e.span && !e.span->done)
-            resolveSpan(*e.span);
-        if (domain_ && e.span && !e.span->ok[e.lane])
-            stale = true; // speculative decode of corrupt bytes failed
-        if (!stale) {
+        if (lastCheck_ == FetchCheck::Clean) {
             if (head_ != i) {
                 unlink(i);
                 pushFront(i);
             }
-            const DecodedBlock *blk =
-                e.span ? &e.span->blks[e.lane] : &e.blk;
+            Entry &e = slab_[i];
             if (e.prefetched) {
                 e.prefetched = false;
                 ++pfHits_;
-                if (statPfHits_)
-                    statPfHits_->inc();
             } else {
                 ++hits_;
-                if (statHits_)
-                    statHits_->inc();
             }
+            // The entry stays MRU through the speculative round (at
+            // most slots-1 inserts), so the returned block outlives it.
             issuePrefetches(flat);
-            return blk;
+            return &e.blk;
         }
         // The cached decode predates the repair (correction/refetch)
         // of this block's memory: poison it and demand-decode the
@@ -187,8 +94,6 @@ BlockFetcher::tryGetFlat(u32 flat)
     }
     pushFront(slot);
     ++fills_;
-    if (statFills_)
-        statFills_->inc();
     issuePrefetches(flat);
     return &e.blk;
 }
@@ -204,7 +109,6 @@ BlockFetcher::poisonSlot(u32 flat)
     map_[flat] = kInvalid;
     e.flat = kInvalid;
     e.prefetched = false;
-    e.span.reset();
     // Park at the LRU tail: the invalidated slot is the next victim,
     // so poisoning never shrinks the effective cache.
     e.prev = tail_;
@@ -215,17 +119,6 @@ BlockFetcher::poisonSlot(u32 flat)
         head_ = i;
     tail_ = i;
     ++poisons_;
-    if (statPoisons_)
-        statPoisons_->inc();
-}
-
-void
-BlockFetcher::quiesce()
-{
-    for (auto &span : inflight_)
-        if (!span->done)
-            resolveSpan(*span);
-    inflight_.clear();
 }
 
 void
@@ -276,7 +169,6 @@ BlockFetcher::claimSlot(u32 flat)
     Entry &e = slab_[i];
     e.flat = flat;
     e.prefetched = false;
-    e.span.reset();
     map_[flat] = i;
     return i;
 }
@@ -321,8 +213,8 @@ BlockFetcher::issuePrefetches(u32 flat)
     // Unit stride (sequential code) is the hot shape: a frontier marks
     // how far the current run has already been covered, so each access
     // extends coverage instead of rescanning the cache, and decodes
-    // are dispatched only in full spans to amortize task-dispatch
-    // overhead (the partial tail re-qualifies once the window slides).
+    // run only in full spans to amortize the batched kernel's setup
+    // (the partial tail re-qualifies once the window slides).
     if (stride_ == 1) {
         s64 lo = std::max<s64>(frontier_, static_cast<s64>(flat) + 1);
         s64 hi =
@@ -355,114 +247,40 @@ BlockFetcher::issuePrefetches(u32 flat)
 }
 
 void
-BlockFetcher::decodeInto(const u32 *flats, unsigned count,
-                         bool contiguous, DecodedBlock *out, u8 *ok) const
-{
-    if (domain_) {
-        // Speculative decodes race ahead of verification, so they may
-        // chew on corrupt bytes; the checked decoder turns that into a
-        // per-lane failure the claim path re-verifies, never a panic.
-        for (unsigned l = 0; l < count; ++l) {
-            Result<DecodedBlock> r = decomp_.tryDecompressBlock(
-                flats[l] / kBlocksPerGroup, flats[l] % kBlocksPerGroup);
-            ok[l] = r.ok() ? 1 : 0;
-            out[l] = r.ok() ? *r : DecodedBlock{};
-        }
-        return;
-    }
-    if (ok)
-        std::fill(ok, ok + count, u8{1});
-    if (contiguous)
-        decomp_.decompressBlocks(flats[0], count, out);
-    else
-        for (unsigned l = 0; l < count; ++l)
-            out[l] = decomp_.decompressFlatBlock(flats[l]);
-}
-
-void
-BlockFetcher::resolveSpan(SpecSpan &s)
-{
-    int st = s.state.load(std::memory_order_acquire);
-    if (st == SpecSpan::Queued &&
-        s.state.compare_exchange_strong(st, SpecSpan::Running,
-                                        std::memory_order_acq_rel)) {
-        decodeInto(s.flats.data(), s.count, s.contiguous,
-                   s.blks.data(), s.ok.data());
-        s.state.store(SpecSpan::Done, std::memory_order_release);
-    } else {
-        // The worker is mid-decode: at most a few microseconds away.
-        // Spin politely; fall back to yielding only if it drags on
-        // (e.g. the worker got descheduled).
-        unsigned spins = 0;
-        while (s.state.load(std::memory_order_acquire) !=
-               SpecSpan::Done) {
-            if (++spins > 4096) {
-                std::this_thread::yield();
-                spins = 0;
-            }
-        }
-    }
-    s.done = true;
-}
-
-void
 BlockFetcher::issueSpan(const u32 *flats, unsigned count,
                         bool contiguous)
 {
     pfIssued_ += count;
-    if (statPfIssued_)
-        statPfIssued_->inc(count);
 
-    if (!opts_.async) {
-        // Inline speculation: batched decode into the reusable
-        // scratch, then park each block in its slab entry. No
-        // allocation, no atomics. Lanes whose checked decode failed
-        // (domain mode, corrupt bytes) are simply not parked — the
-        // demand fetch will verify, repair, and decode them.
-        decodeInto(flats, count, contiguous, scratch_.data(),
-                   scratchOk_.data());
+    // Batched decode into the reusable scratch, then park each block in
+    // its slab entry. No allocation.
+    std::array<bool, kSpanBlocks> ok;
+    ok.fill(true);
+    if (domain_) {
+        // Speculative decodes race ahead of verification, so they may
+        // chew on corrupt bytes; the checked decoder turns that into a
+        // lane that is simply not parked — the demand fetch will
+        // verify, repair, and decode it.
         for (unsigned l = 0; l < count; ++l) {
-            if (!scratchOk_[l])
-                continue;
-            u32 slot = claimSlot(flats[l]);
-            Entry &e = slab_[slot];
-            e.prefetched = true;
-            e.blk = scratch_[l];
-            pushFront(slot);
+            Result<DecodedBlock> r = decomp_.tryDecompressBlock(
+                flats[l] / kBlocksPerGroup, flats[l] % kBlocksPerGroup);
+            ok[l] = r.ok();
+            if (ok[l])
+                scratch_[l] = *r;
         }
-        return;
+    } else if (contiguous) {
+        decomp_.decompressBlocks(flats[0], count, scratch_.data());
+    } else {
+        for (unsigned l = 0; l < count; ++l)
+            scratch_[l] = decomp_.decompressFlatBlock(flats[l]);
     }
-
-    auto span = std::make_shared<SpecSpan>();
-    std::copy(flats, flats + count, span->flats.begin());
-    span->count = count;
-    span->contiguous = contiguous;
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(
-            std::min(4u, defaultThreadCount()));
-    while (inflight_.size() >= kMaxInflight) {
-        resolveSpan(*inflight_.front());
-        inflight_.pop_front();
-    }
-    inflight_.push_back(span);
-    const BlockFetcher *self = this;
-    pool_->submit([span, self] {
-        int st = SpecSpan::Queued;
-        if (!span->state.compare_exchange_strong(
-                st, SpecSpan::Running, std::memory_order_acq_rel))
-            return; // the consumer stole it
-        self->decodeInto(span->flats.data(), span->count,
-                         span->contiguous, span->blks.data(),
-                         span->ok.data());
-        span->state.store(SpecSpan::Done, std::memory_order_release);
-    });
-
     for (unsigned l = 0; l < count; ++l) {
-        u32 slot = claimSlot(span->flats[l]);
+        if (!ok[l])
+            continue;
+        u32 slot = claimSlot(flats[l]);
         Entry &e = slab_[slot];
         e.prefetched = true;
-        e.span = span;
-        e.lane = l;
+        e.blk = scratch_[l];
         pushFront(slot);
     }
 }

@@ -1,58 +1,30 @@
 /**
  * @file
- * Scored host-side prefetch cache over the functional decompressor —
- * the successor of the direct-mapped BlockCache memo.
+ * Scored host-side prefetch cache over the functional decompressor:
+ * the decode memo the functional consumers (the soft-error campaign,
+ * the benches) fetch whole decoded blocks through. The simulated miss
+ * path does not use it; it reads static block geometry (geometry.hh).
  *
  * The fetcher watches the flat-block access sequence, confirms a
  * stride (sequential fetch is stride 1), and speculatively decodes the
- * predicted next blocks with the batched multi-lane kernel
- * (Decompressor::decompressBlocks) on pool workers, so host decode
- * overlaps the caller's own work (simulated timing refills, software
- * traps). Decoded blocks live in an LRU-of-N cache.
+ * predicted next blocks inline with the batched multi-lane kernel
+ * (Decompressor::decompressBlocks). Decoded blocks live in an LRU-of-N
+ * cache.
  *
  * The hot path is allocation-free: entries live in a fixed slab with
  * intrusive LRU links, the flat->slot map is a dense vector (flat
- * block numbers are small and bounded by the image), speculative
- * decodes are dispatched in up-to-16-block spans to amortize
- * task-dispatch cost, and a claimed block is returned by reference
- * into the span's storage — no copy.
- *
- * Determinism: every cache decision — scoring, issue, eviction, claim,
- * every counter — happens on the caller's thread as a pure function of
- * the access sequence. Workers only write into span storage that the
- * caller reads after acquiring the span's Done state (a happens-before
- * edge), and a span the pool has not started yet is stolen and decoded
- * inline — who decodes never changes what is decoded — so hit/fill/
- * prefetch counters are byte-identical across sync and async modes,
- * pool widths, and runs. The pool is created lazily on first
- * speculative issue, which keeps forked cell workers (CPS_ISOLATE=1)
- * safe: each child builds its own pool after the fork.
- *
- * Inline (sync) speculation is the default: for a decode-bound caller
- * the batched kernel on the consumer's own thread beats the pool
- * handoff (wakeup latency costs more than the decode itself — see
- * DESIGN.md). Async pays off when the caller computes between fetches,
- * as the simulator does; opt in with CPS_BLOCK_PREFETCH=async.
- *
- * Knobs (read per-construction, see Options::fromEnv):
- *   CPS_BLOCK_CACHE_SLOTS  cache capacity (default 64)
- *   CPS_BLOCK_PREFETCH     "0"/"off" = plain LRU memo, "async" =
- *                          speculative decode on pool workers,
- *                          "1"/"sync" (default) = speculative batched
- *                          decode inline on the caller
+ * block numbers are small and bounded by the image), and speculative
+ * decodes run in up-to-16-block spans into a reused scratch array.
+ * Every cache decision and counter is a pure function of the access
+ * sequence.
  */
 
 #ifndef CPS_CODEPACK_BLOCK_FETCHER_HH
 #define CPS_CODEPACK_BLOCK_FETCHER_HH
 
 #include <array>
-#include <atomic>
-#include <deque>
-#include <memory>
 #include <vector>
 
-#include "common/stats.hh"
-#include "common/threadpool.hh"
 #include "decompressor.hh"
 #include "resilience.hh"
 
@@ -71,8 +43,6 @@ class BlockFetcher
         unsigned slots = 64;
         /** Speculatively decode predicted blocks at all. */
         bool prefetch = true;
-        /** Run speculative decodes on pool workers (else inline). */
-        bool async = false;
         /**
          * Prediction window in blocks ahead of the last access.
          * Clamped to slots/2 so speculative inserts can never evict
@@ -80,40 +50,36 @@ class BlockFetcher
          * window into wasted decode).
          */
         unsigned depth = 32;
-
-        /** Reads CPS_BLOCK_CACHE_SLOTS / CPS_BLOCK_PREFETCH afresh. */
-        static Options fromEnv();
     };
 
-    /** Blocks decoded per speculative span (one pool dispatch). */
+    /** Blocks decoded per speculative span (one batched decode). */
     static constexpr unsigned kSpanBlocks = 16;
 
     /**
      * @param decomp decompressor to memoize (must outlive the fetcher)
-     * @param opts knobs; defaults come from the environment
-     * @param stats optional registry for "hostpf." counters
+     * @param opts cache geometry and speculation
      * @param domain optional soft-error domain; when given, it must
      *        wrap the image @p decomp decodes, every fetch is verified
      *        through it first, cached copies of a block whose memory
-     *        was repaired are poison-invalidated and re-decoded, all
-     *        decodes run checked (a corruption that slips past a weak
-     *        CRC surfaces as a structured error, never a panic), and
-     *        the caller must quiesce() before mutating domain memory.
+     *        was repaired are poison-invalidated and re-decoded, and
+     *        all decodes run checked (a corruption that slips past a
+     *        weak CRC surfaces as a structured error, never a panic).
      */
-    explicit BlockFetcher(const Decompressor &decomp,
-                          Options opts = Options::fromEnv(),
-                          StatSet *stats = nullptr,
-                          SoftErrorDomain *domain = nullptr);
+    BlockFetcher(const Decompressor &decomp, Options opts,
+                 SoftErrorDomain *domain = nullptr);
 
-    /** Waits out in-flight speculative decodes, then joins workers. */
-    ~BlockFetcher();
+    /** Default options, no domain. (Options{} cannot be a default
+     *  argument here: its member initializers are not yet parsed.) */
+    explicit BlockFetcher(const Decompressor &decomp)
+        : BlockFetcher(decomp, Options{})
+    {}
 
     BlockFetcher(const BlockFetcher &) = delete;
     BlockFetcher &operator=(const BlockFetcher &) = delete;
 
     /**
      * The decoded block, from the cache when present. The reference
-     * stays valid until the next get() (same contract as BlockCache).
+     * stays valid until the next get().
      */
     const DecodedBlock &get(u32 group, u32 block);
 
@@ -131,17 +97,9 @@ class BlockFetcher
 
     /**
      * ECC/CRC verdict of the most recent (try)getFlat when a domain is
-     * attached; Clean otherwise. The timing model charges correction
-     * and refetch latency off this.
+     * attached; Clean otherwise.
      */
     FetchCheck lastCheck() const { return lastCheck_; }
-
-    /**
-     * Resolves every in-flight speculative decode. Callers that mutate
-     * the domain's memory (fault injectors) must quiesce first: async
-     * span workers read the image bytes concurrently.
-     */
-    void quiesce();
 
     u64 hits() const { return hits_; }
     u64 fills() const { return fills_; }
@@ -150,41 +108,13 @@ class BlockFetcher
     u64 prefetchHits() const { return pfHits_; }
     /** Cached copies discarded after their memory was found corrupt. */
     u64 poisons() const { return poisons_; }
-    unsigned slots() const { return opts_.slots; }
-    const Options &options() const { return opts_; }
-    SoftErrorDomain *domain() const { return domain_; }
 
   private:
-    /** One batched speculative decode in flight (or finished). */
-    struct SpecSpan
-    {
-        enum : int { Queued = 0, Running = 1, Done = 2 };
-
-        std::array<u32, kSpanBlocks> flats;
-        unsigned count = 0;
-        bool contiguous = true;
-        std::array<DecodedBlock, kSpanBlocks> blks;
-        /** Per-lane checked-decode success (domain mode only; written
-         *  by the decoder before Done, read after acquiring it). */
-        std::array<u8, kSpanBlocks> ok{};
-        /**
-         * Decode ownership: a worker (or the consumer, stealing a span
-         * the pool has not started) CASes Queued->Running, decodes,
-         * and release-stores Done; blks is read only after an
-         * acquire-load of Done.
-         */
-        std::atomic<int> state{Queued};
-        /** Consumer-side memo: Done already observed. */
-        bool done = false;
-    };
-
     struct Entry
     {
         u32 flat = kInvalid;
         bool prefetched = false; ///< speculative, not yet claimed
-        std::shared_ptr<SpecSpan> span; ///< non-null for span lanes
-        unsigned lane = 0;              ///< slot in span->blks
-        DecodedBlock blk;               ///< demand-fill storage
+        DecodedBlock blk;
         u32 prev = kInvalid, next = kInvalid; ///< intrusive LRU chain
     };
     static constexpr u32 kInvalid = ~0u;
@@ -200,14 +130,6 @@ class BlockFetcher
     void train(u32 flat);
     void issuePrefetches(u32 flat);
     void issueSpan(const u32 *flats, unsigned count, bool contiguous);
-    void decodeInto(const u32 *flats, unsigned count, bool contiguous,
-                    DecodedBlock *out, u8 *ok) const;
-    /**
-     * Ensures @p s is decoded: claims and decodes it inline when the
-     * pool has not started it (work stealing — the batched inline
-     * decode is cheaper than idling), else waits for the worker.
-     */
-    void resolveSpan(SpecSpan &s);
 
     const Decompressor &decomp_;
     Options opts_;
@@ -227,15 +149,8 @@ class BlockFetcher
      *  prefetch run; avoids rescanning the cache every access. */
     u32 frontier_ = 0;
 
-    /** Sync-mode decode target: reused, so no per-span allocation. */
+    /** Speculative decode target: reused, so no per-span allocation. */
     std::array<DecodedBlock, kSpanBlocks> scratch_;
-    std::array<u8, kSpanBlocks> scratchOk_{};
-
-    /** Spans submitted to the pool and not yet known-finished. */
-    std::deque<std::shared_ptr<SpecSpan>> inflight_;
-    static constexpr unsigned kMaxInflight = 4;
-
-    std::unique_ptr<ThreadPool> pool_; ///< lazily created (fork safety)
 
     SoftErrorDomain *domain_ = nullptr;
     FetchCheck lastCheck_ = FetchCheck::Clean;
@@ -245,11 +160,6 @@ class BlockFetcher
     u64 pfIssued_ = 0;
     u64 pfHits_ = 0;
     u64 poisons_ = 0;
-    Counter *statHits_ = nullptr;
-    Counter *statFills_ = nullptr;
-    Counter *statPfIssued_ = nullptr;
-    Counter *statPfHits_ = nullptr;
-    Counter *statPoisons_ = nullptr;
 };
 
 } // namespace codepack

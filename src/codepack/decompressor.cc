@@ -602,48 +602,6 @@ Decompressor::tryDecompressAll() const
     return out;
 }
 
-unsigned
-defaultBlockCacheSlots()
-{
-    const char *env = std::getenv("CPS_BLOCK_CACHE_SLOTS");
-    if (!env || !*env)
-        return 64;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (!end || *end || v < 1 || v > (1 << 20)) {
-        envWarnOnce("CPS_BLOCK_CACHE_SLOTS", env, "a positive integer");
-        return 64;
-    }
-    return static_cast<unsigned>(v);
-}
-
-BlockCache::BlockCache(const Decompressor &decomp, unsigned slots)
-    : decomp_(decomp)
-{
-    if (slots == 0)
-        slots = defaultBlockCacheSlots();
-    unsigned n = 1;
-    while (n < slots)
-        n <<= 1;
-    slots_.resize(n);
-    mask_ = n - 1;
-}
-
-const DecodedBlock &
-BlockCache::get(u32 group, u32 block)
-{
-    u32 flat = group * kBlocksPerGroup + block;
-    Slot &slot = slots_[flat & mask_];
-    if (slot.flat == flat) {
-        ++hits_;
-        return slot.blk;
-    }
-    slot.blk = decomp_.decompressBlock(group, block);
-    slot.flat = flat;
-    ++fills_;
-    return slot.blk;
-}
-
 Result<void>
 validateImage(const CompressedImage &img)
 {

@@ -12,10 +12,7 @@ DecompressorModel::DecompressorModel(const CompressedImage &img,
                                      MainMemory &mem,
                                      const DecompressorConfig &cfg,
                                      StatSet &stats)
-    : img_(img), decomp_(img),
-      fetcher_(decomp_, BlockFetcher::Options::fromEnv(), &stats,
-               cfg.softErrorDomain),
-      mem_(mem), cfg_(cfg),
+    : img_(img), geo_(img), mem_(mem), cfg_(cfg),
       idxCache_(cfg.indexCacheLines, cfg.indexesPerLine,
                 cfg.indexReplacement, cfg.indexCacheSets),
       statMisses_(stats.scalar("decomp.misses")),
@@ -52,6 +49,34 @@ DecompressorModel::reset()
     idxCache_.invalidateAll();
 }
 
+const BlockGeometry *
+DecompressorModel::fetchGeometry(u32 flat, FetchCheck &check)
+{
+    SoftErrorDomain *domain = cfg_.softErrorDomain;
+    if (!domain)
+        return &geo_.get(flat);
+    check = domain->verifyBlock(flat);
+    if (check == FetchCheck::Unrecoverable) {
+        softError_ = true;
+        softErrorDetail_ = domain->lastError();
+        return nullptr;
+    }
+    // A memo entry that predates the repair (correction or refetch) of
+    // this block's memory is stale: re-decode the repaired bytes.
+    if (check != FetchCheck::Clean)
+        geo_.drop(flat);
+    // Checked even though verification passed: a weak detect-only code
+    // (CRC-8 especially) can miss a multi-bit pattern, and the decoder
+    // must then fail structurally, not panic.
+    Result<const BlockGeometry *> r = geo_.tryGet(flat);
+    if (!r) {
+        softError_ = true;
+        softErrorDetail_ = r.error();
+        return nullptr;
+    }
+    return *r;
+}
+
 /**
  * Bursts one block's code and serially decodes it at the configured
  * rate, no earlier than @p idx_ready (index available) and the engine
@@ -62,29 +87,22 @@ std::array<Cycle, kBlockInsns>
 DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
                                 BurstResult *code_out)
 {
+    FetchCheck check = FetchCheck::Clean;
+    const BlockGeometry *geo =
+        fetchGeometry(group * kBlocksPerGroup + block, check);
+    if (!geo) {
+        // Unrecoverable corruption: hand back a trivially-finite fill
+        // so the pipeline drains instead of deadlocking; the machine
+        // aborts the run off the latch.
+        std::array<Cycle, kBlockInsns> ready;
+        ready.fill(idx_ready + 1);
+        if (code_out)
+            *code_out = BurstResult{};
+        return ready;
+    }
+    const BlockGeometry &blk = *geo;
     // Burst-read the compressed block. The burst starts at the bus
     // boundary containing the block's first byte.
-    const DecodedBlock *blkp;
-    if (fetcher_.domain()) {
-        Result<const DecodedBlock *> r = fetcher_.tryGetFlat(
-            group * kBlocksPerGroup + block);
-        if (!r) {
-            // Unrecoverable corruption: latch the fault and hand back a
-            // trivially-finite fill so the pipeline drains instead of
-            // deadlocking; the machine aborts the run off the latch.
-            softError_ = true;
-            softErrorDetail_ = r.error();
-            std::array<Cycle, kBlockInsns> ready;
-            ready.fill(idx_ready + 1);
-            if (code_out)
-                *code_out = BurstResult{};
-            return ready;
-        }
-        blkp = *r;
-    } else {
-        blkp = &fetcher_.get(group, block);
-    }
-    const DecodedBlock &blk = *blkp;
     unsigned bus_bytes = mem_.timing().busBytes();
     u32 start = static_cast<u32>(roundDown(blk.byteOffset, bus_bytes));
     u32 end = blk.byteOffset + std::max<u32>(blk.byteLen, 1);
@@ -98,7 +116,7 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
     Cycle check_lat = 0;
     if (cfg_.protect != ProtectKind::None) {
         check_lat = cfg_.eccCheckCycles;
-        switch (fetcher_.lastCheck()) {
+        switch (check) {
           case FetchCheck::Clean:
             break;
           case FetchCheck::Corrected:
@@ -109,7 +127,7 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
                                   end - start);
             break;
           case FetchCheck::Unrecoverable:
-            // tryGetFlat already failed above; unreachable here.
+            // fetchGeometry already failed above; unreachable here.
             break;
         }
     }

@@ -23,11 +23,11 @@
 
 #include <array>
 
-#include "block_fetcher.hh"
 #include "cache/index_cache.hh"
 #include "common/stats.hh"
-#include "decompressor.hh"
+#include "geometry.hh"
 #include "mem/main_memory.hh"
+#include "resilience.hh"
 
 namespace cps
 {
@@ -180,14 +180,11 @@ class DecompressorModel
 
   private:
     const CompressedImage &img_;
-    Decompressor decomp_;
     // Host-side memo: simulated hardware re-decodes a block on every
-    // miss, but the functional result never changes, so the host reuses
-    // it — and speculatively decodes ahead of the access pattern on
-    // pool workers (BlockFetcher). reset() deliberately leaves the memo
-    // alone — it holds pure functions of the (immutable) image, not
-    // simulated state.
-    BlockFetcher fetcher_;
+    // miss, but its geometry never changes, so the host decodes each
+    // block once. reset() deliberately leaves the memo alone — it holds
+    // pure functions of the (immutable) image, not simulated state.
+    GeometryMemo geo_;
     MainMemory &mem_;
     DecompressorConfig cfg_;
     IndexCache idxCache_;
@@ -216,6 +213,12 @@ class DecompressorModel
     /** When the serial decode engine last finished (prefetches queue). */
     Cycle engineBusyUntil_ = 0;
 
+    /**
+     * Geometry of flat block @p flat, verified through the soft-error
+     * domain when one is attached; sets @p check to the verdict. Null
+     * after latching an unrecoverable corruption.
+     */
+    const BlockGeometry *fetchGeometry(u32 flat, FetchCheck &check);
     /** Decodes one block's timing: burst + serial decode from @p start. */
     std::array<Cycle, kBlockInsns> decodeTiming(u32 group, u32 block,
                                                 Cycle idx_ready,

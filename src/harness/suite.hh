@@ -14,6 +14,9 @@
 #include <string>
 #include <vector>
 
+// Benchmark binaries decode a BenchProgram's image through the
+// functional BlockFetcher and reach it through this header.
+#include "codepack/block_fetcher.hh"
 #include "common/artifact_cache.hh"
 #include "sim/machine.hh"
 

@@ -29,8 +29,7 @@
 
 #include <vector>
 
-#include "codepack/block_fetcher.hh"
-#include "codepack/decompressor.hh"
+#include "codepack/geometry.hh"
 #include "codepack/timing.hh"
 #include "pipeline/paths.hh"
 
@@ -65,9 +64,7 @@ class SoftwareCodePackFetchPath : public CachedFetchPath
                               MainMemory &mem,
                               const SoftwareDecompressConfig &cfg,
                               StatSet &stats)
-        : CachedFetchPath(icache_cfg, stats), img_(img), decomp_(img),
-          fetcher_(decomp_, codepack::BlockFetcher::Options::fromEnv(),
-                   &stats),
+        : CachedFetchPath(icache_cfg, stats), img_(img), geo_(img),
           mem_(mem), cfg_(cfg),
           statTraps_(stats.scalar("swdecomp.traps")),
           statBufferHits_(stats.scalar("swdecomp.buffer_hits")),
@@ -146,11 +143,10 @@ class SoftwareCodePackFetchPath : public CachedFetchPath
 
         // Burst the compressed block into the DMA buffer; the handler
         // only starts decoding once the transfer is complete. The host
-        // memoizes the functional decode by (group, block); the
-        // simulated handler still pays full decode cycles below.
-        const codepack::DecodedBlock &blk = fetcher_.get(group, block);
-        BurstResult burst =
-            mem_.burstRead(t, std::max<u32>(blk.byteLen, 1));
+        // memoizes the block's geometry; the simulated handler still
+        // pays full decode cycles below.
+        BurstResult burst = mem_.burstRead(
+            t, std::max<u32>(geo_.get(flat).byteLen, 1));
         t = burst.done;
 
         // Serial software decode.
@@ -230,10 +226,9 @@ class SoftwareCodePackFetchPath : public CachedFetchPath
                 idxValid_ = true;
                 idxGroup_ = pgroup;
             }
-            const codepack::DecodedBlock &blk =
-                fetcher_.get(pgroup, pblock);
-            BurstResult burst =
-                mem_.burstRead(t, std::max<u32>(blk.byteLen, 1));
+            BurstResult burst = mem_.burstRead(
+                t, std::max<u32>(
+                       geo_.get(static_cast<u32>(pred)).byteLen, 1));
             t = burst.done;
             Scratch &slot = bufs_[1 + (pfRotor_++ % cfg_.prefetchDepth)];
             slot.valid = true;
@@ -249,8 +244,7 @@ class SoftwareCodePackFetchPath : public CachedFetchPath
     }
 
     const codepack::CompressedImage &img_;
-    codepack::Decompressor decomp_;
-    codepack::BlockFetcher fetcher_;
+    codepack::GeometryMemo geo_;
     MainMemory &mem_;
     SoftwareDecompressConfig cfg_;
 

@@ -9,7 +9,7 @@ trajectory record without any package installs.
 import json
 import sys
 
-EXPECTED_SCHEMA = 8
+EXPECTED_SCHEMA = 9
 
 # section -> keys that must be present (values are checked to be of the
 # right shape, not of any particular magnitude: wall-clock numbers are
@@ -39,7 +39,6 @@ REQUIRED = {
     ],
     "hostpf": [
         "slots",
-        "direct_blocks_per_sec",
         "lru_blocks_per_sec",
         "fetcher_blocks_per_sec",
         "warm_refill_speedup",
@@ -126,7 +125,6 @@ def main():
     pf = doc["hostpf"]
     for key in (
         "slots",
-        "direct_blocks_per_sec",
         "lru_blocks_per_sec",
         "fetcher_blocks_per_sec",
         "warm_refill_speedup",

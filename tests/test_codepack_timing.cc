@@ -340,6 +340,42 @@ TEST(DecompTiming, CorrectedUpsetPaysCorrectLatency)
     EXPECT_FALSE(m.softError());
 }
 
+TEST(DecompTiming, RepairedBlockRefetchPaysCorrectLatency)
+{
+    Fixture base_f;
+    LineFill base =
+        base_f.model(DecompressorConfig{}).handleMiss(kTextBase, 0);
+
+    Fixture f;
+    protectImage(f.img, ProtectKind::SecDed);
+    SoftErrorDomain domain(f.img, /*seed=*/3, /*flip_rate_ppm=*/0, 2);
+    DecompressorConfig cfg;
+    cfg.protect = ProtectKind::SecDed;
+    cfg.softErrorDomain = &domain;
+    DecompressorModel m = f.model(cfg);
+
+    // Block 0 misses clean, filling the model's geometry memo.
+    LineFill clean = m.handleMiss(kTextBase, 0);
+    for (unsigned w = 0; w < 8; ++w)
+        EXPECT_EQ(clean.wordReady[w],
+                  base.wordReady[w] + cfg.eccCheckCycles);
+
+    // Upset the block in memory. The next miss repairs it in place,
+    // drops the memo entry and re-decodes the repaired bytes: the
+    // timing is the clean timing plus the correction pass.
+    f.img.bytes[f.img.blocks[0].byteOffset] ^= 0x01;
+    domain.noteCorruption();
+    m.reset(); // empty the output buffer so block 0 misses again
+    const Cycle later = 1000; // the channel has long gone idle
+    LineFill fill = m.handleMiss(kTextBase, later);
+    Cycle lat = cfg.eccCheckCycles + cfg.eccCorrectCycles;
+    for (unsigned w = 0; w < 8; ++w)
+        EXPECT_EQ(fill.wordReady[w], later + base.wordReady[w] + lat)
+            << "word " << w;
+    EXPECT_EQ(domain.stats().corrected, 1u);
+    EXPECT_FALSE(m.softError());
+}
+
 TEST(DecompTiming, UnrecoverableUpsetLatchesSoftError)
 {
     Fixture f;

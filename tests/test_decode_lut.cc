@@ -5,7 +5,8 @@
  * path stays bit-serial. These tests pin the contract between them:
  *
  *  - on every block of every benchmark profile the two decoders agree
- *    bit for bit (words, end-bit positions, framing metadata);
+ *    bit for bit (words, end-bit positions, framing metadata), and the
+ *    miss-path geometry memo holds exactly that geometry;
  *  - on streams the LUT cannot resolve (truncations, unpopulated
  *    dictionary indexes) readFast declines without consuming anything,
  *    and the checked path reports the precise DecodeStatus;
@@ -23,6 +24,7 @@
 
 #include "codepack/compressor.hh"
 #include "codepack/decompressor.hh"
+#include "codepack/geometry.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "harness/suite.hh"
@@ -97,12 +99,42 @@ expectAllKernelsMatchChecked(const CompressedImage &img,
     }
 }
 
+/**
+ * The miss-path geometry memo, filled by trusted and by checked decode,
+ * must hold exactly the checked decoder's geometry for every block of
+ * @p img — which in turn must match the image's own block extents.
+ */
+void
+expectGeometryMatchesChecked(const CompressedImage &img,
+                             const std::string &name)
+{
+    Decompressor ref(img, DecodeKernel::Checked);
+    GeometryMemo trusted(img), checked(img);
+    for (u32 f = 0; f < img.numBlocks(); ++f) {
+        std::string where = strfmt("%s flat block %u", name.c_str(), f);
+        Result<DecodedBlock> want =
+            ref.tryDecompressBlock(f / kBlocksPerGroup, f % kBlocksPerGroup);
+        ASSERT_TRUE(want.ok()) << where;
+        Result<const BlockGeometry *> viaChecked = checked.tryGet(f);
+        ASSERT_TRUE(viaChecked.ok()) << where;
+        for (const BlockGeometry *g : {&trusted.get(f), *viaChecked}) {
+            ASSERT_EQ(g->byteOffset, want->byteOffset) << where;
+            ASSERT_EQ(g->byteLen, want->byteLen) << where;
+            ASSERT_EQ(g->endBit, want->endBit) << where;
+            ASSERT_EQ(g->byteOffset, img.blocks[f].byteOffset) << where;
+            ASSERT_EQ(g->byteLen, img.blocks[f].byteLen) << where;
+        }
+    }
+}
+
 TEST(DecodeLut, TrustedMatchesCheckedOnEveryProfileBlock)
 {
     Suite &suite = Suite::instance();
     suite.pregenerate();
-    for (const std::string &name : suite.names())
+    for (const std::string &name : suite.names()) {
         expectAllKernelsMatchChecked(suite.get(name).image, name);
+        expectGeometryMatchesChecked(suite.get(name).image, name);
+    }
 }
 
 /**

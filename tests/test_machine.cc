@@ -196,6 +196,24 @@ TEST(Machine, StatsExposeDecompressorBehaviour)
     EXPECT_EQ(m.decompressor()->config().decodeRate, 1u);
 }
 
+TEST(Machine, SimulatedStatsCarryNoHostCounters)
+{
+    // The miss path reads static block geometry, not a host decode
+    // cache, so nothing host-side may register in the simulated stats.
+    const BenchProgram &b = Suite::instance().get("go");
+    for (CodeModel model : {CodeModel::CodePack,
+                            CodeModel::CodePackOptimized,
+                            CodeModel::CodePackSoftware}) {
+        Machine m(b.program, baseline1Issue().withCodeModel(model),
+                  &b.image);
+        m.run(50000);
+        ASSERT_GT(m.stats().value("icache.misses"), 0u);
+        for (const auto &[name, value] : m.stats().snapshot())
+            EXPECT_NE(name.rfind("hostpf.", 0), 0u)
+                << "model " << static_cast<int>(model) << ": " << name;
+    }
+}
+
 TEST(Machine, NativeMachineHasNoDecompressor)
 {
     const BenchProgram &b = Suite::instance().get("go");
