@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "codepack/imagefile.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
 #include "fault/campaign.hh"
@@ -36,13 +37,8 @@ namespace
 unsigned
 trialsPerKind()
 {
-    const char *env = std::getenv("CPS_FAULT_TRIALS");
-    if (env && *env) {
-        unsigned long v = std::strtoul(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return 200;
+    return static_cast<unsigned>(envUnsigned(
+        "CPS_FAULT_TRIALS", 200, 1, UINT32_MAX, "a positive integer"));
 }
 
 void

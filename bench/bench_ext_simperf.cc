@@ -8,9 +8,7 @@
  * functional core live vs. replaying the recorded trace), the
  * wall-clock of a full experiment-matrix regeneration serial vs.
  * parallel and live vs. replay (the `runMatrix` engine, worker count
- * from CPS_THREADS), and the chunk-parallel single-run engine's
- * thread scaling plus its speculative-mode accuracy versus warm-up
- * length.
+ * from CPS_THREADS).
  *
  * Besides the human-readable table the bench writes BENCH_simperf.json
  * into the working directory so later changes can track the host-perf
@@ -20,7 +18,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -29,10 +26,8 @@
 #include "codepack/block_fetcher.hh"
 #include "codepack/decompressor.hh"
 #include "common/artifact_cache.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
-#include "harness/chunked.hh"
 #include "harness/engine.hh"
 
 using namespace cps;
@@ -52,8 +47,11 @@ using Clock = std::chrono::steady_clock;
  * Schema 9: "hostpf" drops direct_blocks_per_sec (the direct-mapped
  * BlockCache is gone); warm_refill_speedup is now the scored fetcher's
  * rate over the plain-LRU rate.
+ * Schema 10: the "chunked" section and compress.scalar_seconds,
+ * simd_backend and simd_speedup are gone with the chunk-parallel
+ * engine and the SIMD compress loops.
  */
-constexpr int kSchema = 9;
+constexpr int kSchema = 10;
 
 double
 secondsSince(Clock::time_point start)
@@ -167,10 +165,9 @@ main()
     comp_words.reserve(largest->program.textWords());
     for (size_t i = 0; i < largest->program.textWords(); ++i)
         comp_words.push_back(largest->program.word(i));
-    auto timeCompress = [&](unsigned threads, bool simd) {
+    auto timeCompress = [&](unsigned threads) {
         codepack::CompressorConfig cfg;
         cfg.threads = threads;
-        cfg.simd = simd;
         double best = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
             auto start = Clock::now();
@@ -182,15 +179,11 @@ main()
         return best;
     };
     unsigned workers = defaultThreadCount();
-    double compress_serial_s = timeCompress(1, true);
-    double compress_parallel_s = timeCompress(workers, true);
-    double compress_scalar_s = timeCompress(1, false);
+    double compress_serial_s = timeCompress(1);
+    double compress_parallel_s = timeCompress(workers);
     double compress_speedup =
         compress_serial_s /
         (compress_parallel_s > 0 ? compress_parallel_s : 1.0);
-    double simd_speedup =
-        compress_scalar_s /
-        (compress_serial_s > 0 ? compress_serial_s : 1.0);
 
     // --- 1c. The decode kernel ladder, per block -----------------------
     // Single-block latency for each rung, plus the batched entry point
@@ -349,80 +342,6 @@ main()
     double replay_speedup =
         matrix_live_s / (matrix_replay_s > 0 ? matrix_replay_s : 1.0);
 
-    // --- 4. Chunk-parallel single run: throughput and accuracy --------
-    // Throughput: the same single run split into a fixed 8-chunk plan
-    // (so the plan never changes), speculative warm-up, at 1/2/4/8
-    // worker threads; the serial replay rate above is the baseline.
-    const u64 chunk_insns = (insns + 7) / 8;
-    auto chunkedRate = [&](unsigned threads) {
-        harness::ChunkOptions opt;
-        opt.chunkInsns = chunk_insns;
-        opt.threads = threads;
-        harness::runMachineChunked(go, native_cfg, insns, opt); // warm-up
-        double best = 0;
-        for (int rep = 0; rep < 3; ++rep) {
-            u64 simulated = 0;
-            auto start = Clock::now();
-            double elapsed = 0;
-            do {
-                RunOutcome out =
-                    harness::runMachineChunked(go, native_cfg, insns, opt);
-                simulated += out.result.instructions;
-                elapsed = secondsSince(start);
-            } while (elapsed < 0.2);
-            best =
-                std::max(best, static_cast<double>(simulated) / elapsed);
-        }
-        return best;
-    };
-    const unsigned chunk_threads[] = {1, 2, 4, 8};
-    double chunk_ips[4];
-    for (size_t i = 0; i < 4; ++i)
-        chunk_ips[i] = chunkedRate(chunk_threads[i]);
-    double chunk_speedup_8t =
-        chunk_ips[3] / (native_replay_ips > 0 ? native_replay_ips : 1.0);
-
-    // Accuracy: speculative boundaries are only warmed W entries deep,
-    // so the stitched stats drift from serial; measure the worst IPC
-    // and I-miss-rate deviation across all benchmarks and both
-    // pipelines as W grows.
-    struct ChunkAccuracy
-    {
-        u64 warmup;
-        double maxIpcDelta = 0;      // relative |ΔIPC| / IPC_serial
-        double maxMissRateDelta = 0; // absolute |Δ miss rate|
-    };
-    std::vector<ChunkAccuracy> accuracy = {{1024}, {4096}, {16384}};
-    for (const std::string &name : suite.names()) {
-        const BenchProgram &bench = suite.get(name);
-        for (const MachineConfig &base :
-             {baseline1Issue(),
-              baseline4Issue().withCodeModel(CodeModel::CodePack)}) {
-            RunOutcome serial = runMachineSerial(bench, base, insns);
-            double serial_ipc =
-                static_cast<double>(serial.result.instructions) /
-                static_cast<double>(serial.result.cycles);
-            for (ChunkAccuracy &acc : accuracy) {
-                harness::ChunkOptions opt;
-                opt.chunkInsns = chunk_insns;
-                opt.warmupInsns = acc.warmup;
-                opt.threads = workers;
-                RunOutcome chunked =
-                    harness::runMachineChunked(bench, base, insns, opt);
-                double ipc =
-                    static_cast<double>(chunked.result.instructions) /
-                    static_cast<double>(chunked.result.cycles);
-                acc.maxIpcDelta =
-                    std::max(acc.maxIpcDelta,
-                             std::abs(ipc - serial_ipc) / serial_ipc);
-                acc.maxMissRateDelta = std::max(
-                    acc.maxMissRateDelta,
-                    std::abs(chunked.icacheMissRate -
-                             serial.icacheMissRate));
-            }
-        }
-    }
-
     TextTable t;
     t.setTitle("Extension: host simulator performance "
                "(simulator wall-clock, not simulated cycles)");
@@ -437,10 +356,6 @@ main()
     t.addRow({strfmt("CodePack compress, %u workers", workers),
               strfmt("%.4f s (%.2fx)", compress_parallel_s,
                      compress_speedup)});
-    t.addRow({strfmt("CodePack compress, scalar loops (no %s)",
-                     simd::kBackend),
-              strfmt("%.4f s (simd %.2fx)", compress_scalar_s,
-                     simd_speedup)});
     t.addRow({"decode, checked bit-serial",
               strfmt("%s blocks/s (%.1f ns/block)",
                      grouped(checked_bps).c_str(),
@@ -499,22 +414,6 @@ main()
               strfmt("%.2f s", matrix_live_s)});
     t.addRow({strfmt("matrix, %u workers, trace replay", workers),
               strfmt("%.2f s (%.2fx)", matrix_replay_s, replay_speedup)});
-    for (size_t i = 0; i < 4; ++i) {
-        t.addRow({strfmt("4-issue chunked run, %u threads",
-                         chunk_threads[i]),
-                  strfmt("%s insns/s (%.2fx vs serial replay)",
-                         grouped(chunk_ips[i]).c_str(),
-                         chunk_ips[i] / (native_replay_ips > 0
-                                             ? native_replay_ips
-                                             : 1.0))});
-    }
-    for (const ChunkAccuracy &acc : accuracy) {
-        t.addRow({strfmt("chunked accuracy, W=%llu",
-                         static_cast<unsigned long long>(acc.warmup)),
-                  strfmt("max IPC delta %.3f%%, max I-miss-rate delta "
-                         "%.5f",
-                         acc.maxIpcDelta * 100.0, acc.maxMissRateDelta)});
-    }
     t.print();
 
     // --- JSON trajectory record ---------------------------------------
@@ -535,11 +434,8 @@ main()
         "  \"compress\": {\n"
         "    \"serial_seconds\": %.5f,\n"
         "    \"parallel_seconds\": %.5f,\n"
-        "    \"scalar_seconds\": %.5f,\n"
         "    \"workers\": %u,\n"
-        "    \"speedup\": %.3f,\n"
-        "    \"simd_backend\": \"%s\",\n"
-        "    \"simd_speedup\": %.3f\n"
+        "    \"speedup\": %.3f\n"
         "  },\n"
         "  \"decode\": {\n"
         "    \"kernel_default\": \"%s\",\n"
@@ -580,27 +476,11 @@ main()
         "    \"live_seconds\": %.3f,\n"
         "    \"replay_seconds\": %.3f,\n"
         "    \"replay_speedup\": %.3f\n"
-        "  },\n"
-        "  \"chunked\": {\n"
-        "    \"chunk_insns\": %llu,\n"
-        "    \"insns_per_sec_1t\": %.0f,\n"
-        "    \"insns_per_sec_2t\": %.0f,\n"
-        "    \"insns_per_sec_4t\": %.0f,\n"
-        "    \"insns_per_sec_8t\": %.0f,\n"
-        "    \"speedup_8t_vs_serial_replay\": %.3f,\n"
-        "    \"accuracy\": [\n"
-        "      {\"warmup\": %llu, \"max_ipc_delta\": %.6f, "
-        "\"max_missrate_delta\": %.6f},\n"
-        "      {\"warmup\": %llu, \"max_ipc_delta\": %.6f, "
-        "\"max_missrate_delta\": %.6f},\n"
-        "      {\"warmup\": %llu, \"max_ipc_delta\": %.6f, "
-        "\"max_missrate_delta\": %.6f}\n"
-        "    ]\n"
         "  }\n"
         "}\n",
         kSchema, pregen_cold_s, pregen_warm_s, pregen_speedup,
-        compress_serial_s, compress_parallel_s, compress_scalar_s,
-        workers, compress_speedup, simd::kBackend, simd_speedup,
+        compress_serial_s, compress_parallel_s, workers,
+        compress_speedup,
         codepack::decodeKernelName(codepack::defaultDecodeKernel()),
         checked_bps, lut_bps, lut2_bps, batched_bps,
         nsPerBlock(checked_bps), nsPerBlock(lut_bps),
@@ -614,16 +494,7 @@ main()
         reqs.size(),
         static_cast<unsigned long long>(insns), serial_s, parallel_s,
         workers, serial_s / (parallel_s > 0 ? parallel_s : 1.0),
-        matrix_live_s, matrix_replay_s, replay_speedup,
-        static_cast<unsigned long long>(chunk_insns),
-        chunk_ips[0], chunk_ips[1], chunk_ips[2], chunk_ips[3],
-        chunk_speedup_8t,
-        static_cast<unsigned long long>(accuracy[0].warmup),
-        accuracy[0].maxIpcDelta, accuracy[0].maxMissRateDelta,
-        static_cast<unsigned long long>(accuracy[1].warmup),
-        accuracy[1].maxIpcDelta, accuracy[1].maxMissRateDelta,
-        static_cast<unsigned long long>(accuracy[2].warmup),
-        accuracy[2].maxIpcDelta, accuracy[2].maxMissRateDelta);
+        matrix_live_s, matrix_replay_s, replay_speedup);
     std::fclose(f);
     std::printf("\nWrote BENCH_simperf.json (schema %d).\n", kSchema);
     return 0;

@@ -31,6 +31,7 @@
 
 #include "codepack/resilience.hh"
 #include "codepack/timing.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
 #include "fault/soft_campaign.hh"
@@ -49,13 +50,8 @@ constexpr unsigned kNumModes = 4;
 unsigned
 trialsPerKind()
 {
-    const char *env = std::getenv("CPS_SOFT_TRIALS");
-    if (env && *env) {
-        unsigned long v = std::strtoul(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return 600;
+    return static_cast<unsigned>(envUnsigned(
+        "CPS_SOFT_TRIALS", 600, 1, UINT32_MAX, "a positive integer"));
 }
 
 /** Storage overhead of @p kind on @p img, in percent of total bits. */
@@ -95,7 +91,7 @@ refetchCycles(const codepack::CompressedImage &img,
 
 /** Merges the "softerr" section into BENCH_simperf.json (no JSON
  *  parser: drop any previous softerr section, splice before the
- *  closing brace; a missing file gets a fresh schema-9 skeleton). */
+ *  closing brace; a missing file gets a fresh schema-10 skeleton). */
 bool
 writeSoftErrJson(const std::string &section)
 {
@@ -116,7 +112,7 @@ writeSoftErrJson(const std::string &section)
     std::string out;
     if (base.empty() || close == std::string::npos ||
         base.find("\"schema\"") == std::string::npos) {
-        out = "{\n  \"schema\": 9" + section + "\n}\n";
+        out = "{\n  \"schema\": 10" + section + "\n}\n";
     } else {
         std::string head = base.substr(0, close);
         while (!head.empty() &&

@@ -38,16 +38,6 @@ struct CompressorConfig
      * indexed, so only the serial stitching step orders bytes.
      */
     unsigned threads = 0;
-
-    /**
-     * Route the halfword histogram and the dictionary match loop
-     * through the simd wrapper's vector paths (false pins the scalar
-     * reference loops — the ablation baseline bench_ext_simperf
-     * times). The compressed image is byte-identical either way, at
-     * any thread count; like `threads`, this flag is therefore not
-     * part of the artifact-cache key.
-     */
-    bool simd = true;
 };
 
 /** Bit-level composition of the compressed region (paper Table 4). */

@@ -169,28 +169,6 @@ Dictionary::read(BitReader &br) const
 void
 Dictionary::buildLut()
 {
-    // Match-path mirrors first: flat bank-ordered values, their
-    // encodings, and the membership bitmap the compressor probes
-    // before scanning.
-    flat_.clear();
-    flatEnc_.clear();
-    member_.assign(65536 / 64, 0);
-    for (unsigned b = 0; b < numBanks_; ++b) {
-        const Bank &bank = banks_[b];
-        for (u32 i = 0; i < entries_[b].size(); ++i) {
-            u16 value = entries_[b][i];
-            flat_.push_back(value);
-            HalfEncoding enc;
-            enc.bank = b;
-            enc.index = i;
-            enc.tagBits = bank.tagBits;
-            enc.tag = bank.tag;
-            enc.indexBits = bank.indexBits;
-            flatEnc_.push_back(enc);
-            member_[value >> 6] |= u64{1} << (value & 63);
-        }
-    }
-
     lut_.assign(1u << kLutBits, lutEntry(0, 0, kLutInvalid));
     // Every pattern whose top bits match `code` (length `len`) resolves
     // to `entry`: fill all 2^(kLutBits-len) suffix slots.

@@ -18,7 +18,6 @@
 
 #include "common/bitstream.hh"
 #include "common/result.hh"
-#include "common/simd.hh"
 #include "common/types.hh"
 #include "format.hh"
 
@@ -112,46 +111,6 @@ class Dictionary
             return;
         }
         bw.put(enc.index, enc.indexBits);
-    }
-
-    /**
-     * encode() by dictionary match instead of hash lookup: a 64-Kbit
-     * membership bitmap rejects raw halves in one probe, and members
-     * resolve by scanning the flat bank-ordered entry array — the
-     * software analogue of the hardware CAM, vectorized through the
-     * simd wrapper (@p vectorized false pins the scalar scan for
-     * ablation; the result is identical either way, and identical to
-     * encode()). Frequency ranking puts the dynamically common values
-     * in the first cachelines of the scan, so the expected match is a
-     * couple of vector compares.
-     */
-    HalfEncoding
-    matchEncode(u16 half, bool vectorized = true) const
-    {
-        if (kind_ == Kind::Low && half == 0) {
-            HalfEncoding enc;
-            enc.zeroSpecial = true;
-            enc.tagBits = kLowZeroBits;
-            enc.tag = kTag0;
-            return enc;
-        }
-        if (!((member_[half >> 6] >> (half & 63)) & 1)) {
-            HalfEncoding enc;
-            enc.raw = true;
-            enc.tagBits = 3;
-            enc.tag = kTagRaw;
-            enc.indexBits = kRawLiteralBits;
-            return enc;
-        }
-        size_t idx =
-            vectorized
-                ? simd::findU16(flat_.data(), flat_.size(), half)
-                : simd::scalar::findU16(flat_.data(), flat_.size(),
-                                        half);
-        cps_assert(idx < flat_.size(),
-                   "membership bitmap admitted value 0x%04x the flat "
-                   "entry array does not hold", half);
-        return flatEnc_[idx];
     }
 
     /** Decodes one halfword from @p br (tag first, then index/raw). */
@@ -268,13 +227,6 @@ class Dictionary
     std::vector<std::vector<u16>> entries_;       // per bank
     std::unordered_map<u16, HalfEncoding> lookup_; // value -> encoding
     std::vector<u32> lut_;                        // 1 << kLutBits entries
-    // Match-path mirrors of entries_, rebuilt with the LUT: the flat
-    // bank-ordered value array the vector scan walks, its per-index
-    // encodings, and a 64-Kbit membership bitmap (one u64 per 64
-    // values) that rejects raw halves without scanning.
-    std::vector<u16> flat_;
-    std::vector<HalfEncoding> flatEnc_;
-    std::vector<u64> member_;
 };
 
 /**

@@ -29,20 +29,6 @@ fetchCheckName(FetchCheck check)
 namespace
 {
 
-unsigned
-envUnsigned(const char *name, unsigned dflt, const char *expected)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return dflt;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end && *end == '\0' && v <= 1000000)
-        return static_cast<unsigned>(v);
-    envWarnOnce(name, env, expected);
-    return dflt;
-}
-
 FetchCheck
 worse(FetchCheck a, FetchCheck b)
 {
@@ -54,15 +40,17 @@ worse(FetchCheck a, FetchCheck b)
 unsigned
 defaultEccRetries()
 {
-    return envUnsigned("CPS_ECC_RETRIES", 2,
-                       "an unsigned integer (refetch budget)");
+    return static_cast<unsigned>(
+        envUnsigned("CPS_ECC_RETRIES", 2, 0, 1000000,
+                    "an unsigned integer (refetch budget)"));
 }
 
 unsigned
 defaultFlipRatePpm()
 {
-    return envUnsigned("CPS_FLIP_RATE", 0,
-                       "flips per million fetches, 0..1000000");
+    return static_cast<unsigned>(
+        envUnsigned("CPS_FLIP_RATE", 0, 0, 1000000,
+                    "flips per million fetches, 0..1000000"));
 }
 
 SoftErrorDomain::SoftErrorDomain(CompressedImage &mem, u64 seed,

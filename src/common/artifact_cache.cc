@@ -44,16 +44,8 @@ ArtifactCache::instance()
         if (const char *env = std::getenv("CPS_CACHE_DIR"))
             if (*env != '\0')
                 dir = env;
-        u64 max_bytes = 0;
-        if (const char *env = std::getenv("CPS_CACHE_MAX_BYTES")) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (end && *end == '\0')
-                max_bytes = static_cast<u64>(v);
-            else
-                envWarnOnce("CPS_CACHE_MAX_BYTES", env,
-                            "a byte count");
-        }
+        u64 max_bytes = envUnsigned("CPS_CACHE_MAX_BYTES", 0, 0,
+                                    UINT64_MAX, "a byte count");
         return ArtifactCache(dir, enabled, max_bytes);
     }();
     return cache;

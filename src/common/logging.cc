@@ -1,6 +1,7 @@
 #include "logging.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -119,6 +120,24 @@ envWarnOnce(const char *name, const char *value, const char *expected)
     }
     warnImpl("ignoring malformed %s='%s' (expected %s)", name, value,
              expected);
+}
+
+u64
+envUnsigned(const char *name, u64 dflt, u64 lo, u64 hi, const char *expected)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return dflt;
+    // strtoull alone would skip leading blanks and wrap a '-' sign.
+    if (*env >= '0' && *env <= '9') {
+        errno = 0;
+        char *end = nullptr;
+        unsigned long long v = std::strtoull(env, &end, 10);
+        if (errno == 0 && *end == '\0' && v >= lo && v <= hi)
+            return v;
+    }
+    envWarnOnce(name, env, expected);
+    return dflt;
 }
 
 void

@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "types.hh"
+
 namespace cps
 {
 
@@ -49,6 +51,16 @@ unsigned long warnCount();
  */
 void envWarnOnce(const char *name, const char *value,
                  const char *expected);
+
+/**
+ * Reads environment knob @p name as a decimal integer in [@p lo, @p hi].
+ * Unset returns @p dflt silently. Anything else that is not all digits
+ * (empty, signed, trailing junk such as "1e3"), overflows, or falls
+ * outside the range returns @p dflt after one envWarnOnce naming
+ * @p expected.
+ */
+u64 envUnsigned(const char *name, u64 dflt, u64 lo, u64 hi,
+                const char *expected);
 
 /** Silence warn()/inform() output (counters still advance). */
 void setQuiet(bool quiet);

@@ -12,7 +12,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "chunked.hh"
 #include "common/byteio.hh"
 #include "common/ipc_frame.hh"
 #include "common/logging.hh"
@@ -288,27 +287,14 @@ CellRunnerConfig::fromEnv()
 {
     static const CellRunnerConfig cached = [] {
         CellRunnerConfig cfg;
-        auto readUnsigned = [](const char *name, unsigned long long max,
-                               unsigned long long fallback) {
-            const char *env = std::getenv(name);
-            if (!env)
-                return fallback;
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (!end || *end != '\0' || v > max) {
-                envWarnOnce(name, env, "an unsigned integer");
-                return fallback;
-            }
-            return v;
-        };
         if (const char *env = std::getenv("CPS_ISOLATE"))
             cfg.isolate = std::string(env) != "0";
-        cfg.timeoutMs = static_cast<long>(
-            readUnsigned("CPS_CELL_TIMEOUT_MS", 1ull << 40, 0));
-        cfg.retries = static_cast<unsigned>(
-            readUnsigned("CPS_CELL_RETRIES", 100, 1));
-        cfg.backoffMs = static_cast<unsigned>(
-            readUnsigned("CPS_CELL_BACKOFF_MS", 1ull << 20, 100));
+        cfg.timeoutMs = static_cast<long>(envUnsigned(
+            "CPS_CELL_TIMEOUT_MS", 0, 0, 1ull << 40, "an unsigned integer"));
+        cfg.retries = static_cast<unsigned>(envUnsigned(
+            "CPS_CELL_RETRIES", 1, 0, 100, "an unsigned integer"));
+        cfg.backoffMs = static_cast<unsigned>(envUnsigned(
+            "CPS_CELL_BACKOFF_MS", 100, 0, 1ull << 20, "an unsigned integer"));
         return cfg;
     }();
     return cached;
@@ -420,15 +406,6 @@ cellKey(const RunRequest &req)
     key += strfmt("wd=%llu,%u;",
                   static_cast<unsigned long long>(p.watchdogInterval),
                   p.watchdogStallLimit);
-    // Speculative chunking changes the numbers (exact mode does not,
-    // but keying it too keeps one journal entry per execution policy).
-    const harness::ChunkOptions &chunk = harness::ChunkOptions::fromEnv();
-    if (req.mode == ReplayMode::Auto && chunk.enabled()) {
-        key += strfmt("chunk=%llu,%llu,%u;",
-                      static_cast<unsigned long long>(chunk.chunkInsns),
-                      static_cast<unsigned long long>(chunk.warmupInsns),
-                      chunk.exact ? 1u : 0u);
-    }
     return key + benchProgramKey(*req.bench->profile);
 }
 

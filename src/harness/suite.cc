@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "asmkit/objfile.hh"
-#include "chunked.hh"
 #include "codepack/imagefile.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
@@ -166,35 +165,20 @@ Suite::pregenerate(unsigned threads)
 u64
 Suite::runInsns()
 {
-    static const u64 cached = [] {
-        if (const char *env = std::getenv("CPS_INSNS")) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (end && *end == '\0' && v > 0)
-                return static_cast<u64>(v);
-            envWarnOnce("CPS_INSNS", env, "a positive integer");
-        }
-        return u64{1000000};
-    }();
+    static const u64 cached = envUnsigned("CPS_INSNS", 1000000, 1,
+                                          UINT64_MAX, "a positive integer");
     return cached;
 }
 
 u64
 Suite::traceInsns()
 {
-    static const u64 cached = [] {
-        if (const char *env = std::getenv("CPS_TRACE_INSNS")) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (end && *end == '\0')
-                return static_cast<u64>(v);
-            envWarnOnce("CPS_TRACE_INSNS", env, "an unsigned integer");
-        }
-        // Slack past runInsns() so an OoO front end fetching ahead of
-        // its commit budget never outruns a truncated trace (see
-        // replayLookahead; 4096 covers any plausible RUU depth).
-        return runInsns() + 4096;
-    }();
+    // The default leaves slack past runInsns() so an OoO front end
+    // fetching ahead of its commit budget never outruns a truncated
+    // trace (see replayLookahead; 4096 covers any plausible RUU depth).
+    static const u64 cached =
+        envUnsigned("CPS_TRACE_INSNS", runInsns() + 4096, 0, UINT64_MAX,
+                    "an unsigned integer");
     return cached;
 }
 
@@ -211,16 +195,6 @@ Suite::replayEnabled()
 RunOutcome
 runMachine(const BenchProgram &bench, const MachineConfig &cfg,
            u64 max_insns, ReplayMode mode)
-{
-    const harness::ChunkOptions &chunk = harness::ChunkOptions::fromEnv();
-    if (mode == ReplayMode::Auto && chunk.enabled())
-        return harness::runMachineChunked(bench, cfg, max_insns, chunk);
-    return runMachineSerial(bench, cfg, max_insns, mode);
-}
-
-RunOutcome
-runMachineSerial(const BenchProgram &bench, const MachineConfig &cfg,
-                 u64 max_insns, ReplayMode mode)
 {
     const TraceBuffer *trace = nullptr;
     if (mode == ReplayMode::Auto && bench.trace &&

@@ -154,17 +154,19 @@ enum class ReplayMode
 
 /** Builds a machine for @p bench under @p cfg and runs it. With a
  *  recorded trace that covers the run (and replay enabled), the timing
- *  models replay it — same tables, one functional execution total.
- *  When the CPS_CHUNK_* knobs enable chunk-parallel execution (and
- *  @p mode is Auto), dispatches to harness::runMachineChunked. */
+ *  models replay it — same tables, one functional execution total. */
 RunOutcome runMachine(const BenchProgram &bench, const MachineConfig &cfg,
                       u64 max_insns, ReplayMode mode = ReplayMode::Auto);
 
-/** The single-machine path runMachine dispatches to: one Machine, one
- *  serial run, no chunking regardless of the CPS_CHUNK_* knobs. */
-RunOutcome runMachineSerial(const BenchProgram &bench,
-                            const MachineConfig &cfg, u64 max_insns,
-                            ReplayMode mode = ReplayMode::Auto);
+/** Former name of runMachine, kept only because the perfbench traced
+ *  run (perfbench/src/traced.cc) still calls it; it goes when that
+ *  caller moves to runMachine. */
+inline RunOutcome
+runMachineSerial(const BenchProgram &bench, const MachineConfig &cfg,
+                 u64 max_insns, ReplayMode mode = ReplayMode::Auto)
+{
+    return runMachine(bench, cfg, max_insns, mode);
+}
 
 /** Convenience: cycles(native) / cycles(model) on identical inputs. */
 inline double

@@ -38,19 +38,6 @@ InOrderPipeline::run(u64 max_insns)
     u64 retired = 0;
     bool exited = false;
 
-    // The gate fires at the retired count a serial run of warmupInsns
-    // instructions would stop at, so cyclesAtGate equals that shorter
-    // run's result exactly (the chunk engine's telescoping identity).
-    auto fireGate = [&] {
-        gate_->fired = true;
-        gate_->cyclesAtGate = end_time;
-        gate_->insnsAtGate = retired;
-        if (gate_->onGate)
-            gate_->onGate();
-    };
-    if (gate_ && !gate_->fired && gate_->warmupInsns == 0)
-        fireGate();
-
     while (retired < max_insns) {
         if (src_.halted()) {
             exited = true;
@@ -128,8 +115,6 @@ InOrderPipeline::run(u64 max_insns)
 
         end_time = std::max({end_time, result_at, fetch_done + 4});
         ++retired;
-        if (gate_ && !gate_->fired && retired >= gate_->warmupInsns)
-            fireGate();
         if (rec.halted)
             exited = true;
     }

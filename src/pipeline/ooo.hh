@@ -64,17 +64,8 @@ class OoOPipeline
      *  outlive the run). Pass nullptr to disable. */
     void setTraceSink(std::vector<OooTraceEntry> *sink) { trace_ = sink; }
 
-    /**
-     * Arms a warm-up gate for the next run (chunk-parallel engine):
-     * fires in the commit stage the moment gate->warmupInsns
-     * instructions have retired. Pass nullptr to disable. The gate
-     * must outlive the run.
-     */
-    void setWarmupGate(WarmupGate *gate) { gate_ = gate; }
-
   private:
     std::vector<OooTraceEntry> *trace_ = nullptr;
-    WarmupGate *gate_ = nullptr;
     /** Function-unit pools, indexed by FuPool. */
     enum FuPool : unsigned
     {

@@ -9,7 +9,7 @@ trajectory record without any package installs.
 import json
 import sys
 
-EXPECTED_SCHEMA = 9
+EXPECTED_SCHEMA = 10
 
 # section -> keys that must be present (values are checked to be of the
 # right shape, not of any particular magnitude: wall-clock numbers are
@@ -19,11 +19,8 @@ REQUIRED = {
     "compress": [
         "serial_seconds",
         "parallel_seconds",
-        "scalar_seconds",
         "workers",
         "speedup",
-        "simd_backend",
-        "simd_speedup",
     ],
     "decode": [
         "kernel_default",
@@ -65,15 +62,6 @@ REQUIRED = {
         "replay_seconds",
         "replay_speedup",
     ],
-    "chunked": [
-        "chunk_insns",
-        "insns_per_sec_1t",
-        "insns_per_sec_2t",
-        "insns_per_sec_4t",
-        "insns_per_sec_8t",
-        "speedup_8t_vs_serial_replay",
-        "accuracy",
-    ],
 }
 
 
@@ -109,9 +97,6 @@ def main():
     if dec["kernel_default"] not in ("checked", "lut", "lut2"):
         fail("decode.kernel_default %r is not a known kernel"
              % dec["kernel_default"])
-    if doc["compress"]["simd_backend"] not in ("sse2", "neon", "scalar"):
-        fail("compress.simd_backend %r is not a known backend"
-             % doc["compress"]["simd_backend"])
     for key in (
         "checked_blocks_per_sec",
         "lut_blocks_per_sec",
@@ -167,14 +152,6 @@ def main():
         if not 0.0 <= se["none_silent_rate"] <= 1.0:
             fail("softerr.none_silent_rate %r outside [0, 1]"
                  % se["none_silent_rate"])
-
-    acc = doc["chunked"]["accuracy"]
-    if not (isinstance(acc, list) and len(acc) == 3):
-        fail("chunked.accuracy should be a list of 3 entries")
-    for entry in acc:
-        for key in ("warmup", "max_ipc_delta", "max_missrate_delta"):
-            if key not in entry:
-                fail("missing key %r in chunked.accuracy entry" % key)
 
     print("check_simperf_schema: OK (schema %d)" % EXPECTED_SCHEMA)
 

@@ -1,15 +1,13 @@
-# Runs a table binary eight ways — engine serial (CPS_THREADS=1), on 8
+# Runs a table binary seven ways — engine serial (CPS_THREADS=1), on 8
 # workers, on 8 workers with trace replay disabled (CPS_REPLAY=0), on 8
 # workers against a cold then warm artifact cache, on 8 forked workers
-# (CPS_ISOLATE=1), killed mid-matrix and resumed (CPS_RESUME=1), and
-# with every run chunk-parallel in exact mode (CPS_CHUNK_EXACT=1) — and
-# fails unless all eight stdouts are byte-identical. This is the
-# user-visible face of five contracts: runMatrix determinism at any
+# (CPS_ISOLATE=1), and killed mid-matrix and resumed (CPS_RESUME=1) —
+# and fails unless all seven stdouts are byte-identical. This is the
+# user-visible face of four contracts: runMatrix determinism at any
 # worker count, trace-replay equivalence with live execution,
-# artifact-cache transparency, resilience transparency (worker
+# artifact-cache transparency, and resilience transparency (worker
 # isolation and journal replay change how cells execute, never what the
-# table prints), and the chunk engine's exact-mode guarantee (stitched
-# per-chunk deltas telescope to the serial totals).
+# table prints).
 #
 # Expects: TABLE_BIN (the binary), WORK_DIR (scratch directory).
 # Optional: OUT_PREFIX (scratch-file prefix, default "table_det").
@@ -120,23 +118,6 @@ if (NOT resumed_rc EQUAL 0)
 endif()
 unset(ENV{CPS_RESUME})
 
-# Chunked-exact leg: every cell's run is split into ~4000-instruction
-# chunks simulated in parallel with full-prefix warm-up. Exact mode is
-# byte-identical to serial by construction; this leg enforces it at the
-# whole-table level, on top of the 8-worker cell fan-out.
-set(chunked_out "${WORK_DIR}/${OUT_PREFIX}_chunked.txt")
-set(ENV{CPS_CHUNK_EXACT} "1")
-set(ENV{CPS_CHUNK_INSNS} "4000")
-execute_process(COMMAND ${TABLE_BIN}
-    OUTPUT_FILE ${chunked_out}
-    RESULT_VARIABLE chunked_rc)
-if (NOT chunked_rc EQUAL 0)
-    message(FATAL_ERROR "chunked (CPS_CHUNK_EXACT=1) run failed "
-        "(rc=${chunked_rc})")
-endif()
-unset(ENV{CPS_CHUNK_EXACT})
-unset(ENV{CPS_CHUNK_INSNS})
-
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files ${serial_out} ${parallel_out}
     RESULT_VARIABLE diff_rc)
@@ -183,12 +164,4 @@ execute_process(
 if (NOT resume_diff_rc EQUAL 0)
     message(FATAL_ERROR "table output differs between an uninterrupted "
         "run and a killed-then-resumed (CPS_RESUME=1) run")
-endif()
-
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files ${serial_out} ${chunked_out}
-    RESULT_VARIABLE chunk_diff_rc)
-if (NOT chunk_diff_rc EQUAL 0)
-    message(FATAL_ERROR "table output differs between serial runs and "
-        "chunk-parallel exact mode (CPS_CHUNK_EXACT=1)")
 endif()

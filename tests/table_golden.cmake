@@ -6,9 +6,9 @@
 # a change that shifts every mode the same way still fails here.
 #
 # A change that moves a simulated number must update the golden file
-# in the same commit and explain the change in CHANGES.md. To
-# regenerate all twelve files from a built tree, run this script with
-# -DUPDATE_GOLDEN=1 (same BENCH_DIR/GOLDEN_DIR/WORK_DIR arguments).
+# in the same commit and explain the change in CHANGES.md. A failing
+# run leaves each table's new output beside the test, ready to copy
+# over its golden file.
 #
 # Expects: BENCH_DIR (directory holding the bench binaries),
 #          GOLDEN_DIR (tests/golden), WORK_DIR (scratch directory).
@@ -47,10 +47,6 @@ foreach(table IN LISTS tables)
         RESULT_VARIABLE rc)
     if (NOT rc EQUAL 0)
         message(FATAL_ERROR "${table} failed (rc=${rc})")
-    endif()
-    if (UPDATE_GOLDEN)
-        execute_process(COMMAND ${CMAKE_COMMAND} -E copy ${out} ${golden})
-        continue()
     endif()
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files ${golden} ${out}

@@ -98,6 +98,30 @@ TEST(EnvWarnOnce, WarnsOncePerName)
     EXPECT_EQ(warnCount(), before + 2);
 }
 
+TEST(EnvWarnOnce, EnvUnsignedRejectsTrailingJunk)
+{
+    EnvGuard g("CPS_TEST_KNOB_JUNK", "1e3");
+    unsigned long before = warnCount();
+    EXPECT_EQ(envUnsigned("CPS_TEST_KNOB_JUNK", 600, 1, 1000, "n"), 600u);
+    EXPECT_EQ(warnCount(), before + 1);
+}
+
+TEST(EnvWarnOnce, EnvUnsignedRejectsOutOfRange)
+{
+    EnvGuard g("CPS_TEST_KNOB_RANGE", "0");
+    unsigned long before = warnCount();
+    EXPECT_EQ(envUnsigned("CPS_TEST_KNOB_RANGE", 7, 1, 1024, "n"), 7u);
+    EXPECT_EQ(warnCount(), before + 1);
+}
+
+TEST(EnvWarnOnce, EnvUnsignedAcceptsValidValue)
+{
+    EnvGuard g("CPS_TEST_KNOB_VALID", "1024");
+    unsigned long before = warnCount();
+    EXPECT_EQ(envUnsigned("CPS_TEST_KNOB_VALID", 7, 1, 1024, "n"), 1024u);
+    EXPECT_EQ(warnCount(), before);
+}
+
 TEST(Crc, KnownVectors)
 {
     // CRC-8 poly 0x07 of "123456789" is 0xF4; CRC-16/CCITT-FALSE of the

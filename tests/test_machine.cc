@@ -396,7 +396,7 @@ TEST(Machine, ProtectedZeroCheckCyclesMatchesUnprotectedCycles)
     MachineConfig cfg = baseline4Issue();
     cfg.codeModel = CodeModel::CodePackCustom;
     cfg.decomp = codepack::DecompressorConfig::optimized();
-    RunOutcome plain = runMachineSerial(b, cfg, 50000);
+    RunOutcome plain = runMachine(b, cfg, 50000);
 
     codepack::CompressedImage img = b.image;
     codepack::protectImage(img, ProtectKind::SecDed);
