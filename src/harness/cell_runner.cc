@@ -8,6 +8,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -466,6 +467,7 @@ CellRunner::runIsolated(const RunRequest &req, unsigned attempt) const
 {
     int fds[2];
     pid_t pid;
+    const pid_t parent = ::getpid();
     {
         // Pipe creation, write-end registration and fork happen under
         // one lock so every child sees a complete registry of the
@@ -495,6 +497,15 @@ CellRunner::runIsolated(const RunRequest &req, unsigned attempt) const
 
     if (pid == 0) {
         // ------------------------------------------------------ worker
+        // A worker must not outlive the process that forked it: no one
+        // is left to read its result, and a worker blocked on a lock
+        // another thread held at fork time (ASan's allocator locks are
+        // not fork-safe) would hold its inherited pipes open forever.
+        // The forking thread always reaps its worker before returning,
+        // so the signal fires only once the whole parent is gone.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent)
+            ::_exit(1); // the parent died before prctl took effect
         ::close(fds[0]);
         // A parent that timed out and closed its read end must turn
         // the result write into a plain failed write, not SIGPIPE.

@@ -12,8 +12,13 @@
  */
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <poll.h>
+#include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -369,6 +374,44 @@ TEST(CellRunner, HangingWorkerTripsTheDeadline)
     CellOutcome out = CellRunner(isolatedConfig(300)).run(req);
     EXPECT_EQ(out.status.state, CellState::Timeout);
     EXPECT_EQ(harness::failLabel(out.status), "FAILED(timeout)");
+}
+
+TEST(CellRunner, WorkerDiesWithItsParent)
+{
+    // A runner process killed mid-cell (kill -9 on a daemon) must not
+    // leave its worker behind. The worker inherits the write end of
+    // the pipe below, so the pipe reaches EOF only once it is gone.
+    RunRequest req = benchRequest("pegwit", CellFault::Hang);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    pid_t runner = ::fork();
+    ASSERT_GE(runner, 0);
+    if (runner == 0) {
+        ::close(fds[0]);
+        CellRunner(isolatedConfig(60000)).run(req);
+        ::_exit(0);
+    }
+    ::close(fds[1]);
+    // Wait for the runner to fork its (hanging) worker.
+    const std::string children = "/proc/" + std::to_string(runner) +
+                                 "/task/" + std::to_string(runner) +
+                                 "/children";
+    pid_t worker = 0;
+    for (int i = 0; i < 1000 && worker == 0; ++i) {
+        std::ifstream(children) >> worker;
+        if (worker == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ::kill(runner, SIGKILL);
+    ::waitpid(runner, nullptr, 0);
+    ASSERT_NE(worker, 0) << "runner never forked its worker";
+
+    pollfd pfd{fds[0], POLLIN, 0};
+    bool eof = ::poll(&pfd, 1, 10000) == 1;
+    ::close(fds[0]);
+    if (!eof)
+        ::kill(worker, SIGKILL); // do not leak it past a failure
+    EXPECT_TRUE(eof) << "worker " << worker << " outlived its parent";
 }
 
 TEST(CellRunner, SlowWorkerInsideTheDeadlineIsNotATimeout)
