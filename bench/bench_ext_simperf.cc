@@ -50,8 +50,12 @@ using Clock = std::chrono::steady_clock;
  * Schema 10: the "chunked" section and compress.scalar_seconds,
  * simd_backend and simd_speedup are gone with the chunk-parallel
  * engine and the SIMD compress loops.
+ * Schema 11: "decode" keeps only the checked and lut kernels' keys (the
+ * pair-LUT kernel and the interleaved batched decode are gone);
+ * batched_speedup becomes lut_speedup, the lut kernel's rate over
+ * checked.
  */
-constexpr int kSchema = 10;
+constexpr int kSchema = 11;
 
 double
 secondsSince(Clock::time_point start)
@@ -185,10 +189,7 @@ main()
         compress_serial_s /
         (compress_parallel_s > 0 ? compress_parallel_s : 1.0);
 
-    // --- 1c. The decode kernel ladder, per block -----------------------
-    // Single-block latency for each rung, plus the batched entry point
-    // (decompressBlocks interleaves up to four independent block
-    // streams per loop) — the batched ns/block is the headline number.
+    // --- 1c. The two decode kernels, per block ------------------------
     auto kernelBps = [&](codepack::DecodeKernel k) {
         codepack::Decompressor d(largest->image, k);
         return blocksPerSecond(blocks, [&](u32 b) {
@@ -198,35 +199,8 @@ main()
     };
     double checked_bps = kernelBps(codepack::DecodeKernel::Checked);
     double lut_bps = kernelBps(codepack::DecodeKernel::Lut);
-    double lut2_bps = kernelBps(codepack::DecodeKernel::Lut2);
-    codepack::Decompressor batch_decomp(largest->image,
-                                        codepack::DecodeKernel::Lut2);
-    std::vector<codepack::DecodedBlock> batch_out(blocks);
-    auto batchedBps = [&] {
-        // One decompressBlocks sweep per window pass; normalize the
-        // best-window convention by timing whole sweeps directly.
-        for (int warm = 0; warm < 2; ++warm)
-            batch_decomp.decompressBlocks(0, blocks, batch_out.data());
-        double best = 0;
-        for (int rep = 0; rep < 5; ++rep) {
-            u64 decoded = 0;
-            auto start = Clock::now();
-            double elapsed = 0;
-            do {
-                batch_decomp.decompressBlocks(0, blocks,
-                                              batch_out.data());
-                asm volatile("" : : "r"(batch_out.data()) : "memory");
-                decoded += blocks;
-                elapsed = secondsSince(start);
-            } while (elapsed < 0.2);
-            best =
-                std::max(best, static_cast<double>(decoded) / elapsed);
-        }
-        return best;
-    };
-    double batched_bps = batchedBps();
     double decode_speedup =
-        batched_bps / (checked_bps > 0 ? checked_bps : 1.0);
+        lut_bps / (checked_bps > 0 ? checked_bps : 1.0);
     auto nsPerBlock = [](double bps) {
         return bps > 0 ? 1e9 / bps : 0.0;
     };
@@ -235,16 +209,17 @@ main()
     // Warm-refill throughput of the two host caches on a sequential
     // sweep over every block of the largest image. The image holds far
     // more blocks than the 64-slot cache, so every sweep is a full
-    // refill — the worst case the fetcher's batched decode-ahead is
+    // refill — the worst case the fetcher's decode-ahead is
     // meant to win.
     const unsigned hostpf_slots = 64;
     codepack::BlockFetcher::Options lru_opts;
     lru_opts.slots = hostpf_slots;
     lru_opts.prefetch = false;
-    codepack::BlockFetcher lru_fetch(batch_decomp, lru_opts);
+    codepack::Decompressor fetch_decomp(largest->image);
+    codepack::BlockFetcher lru_fetch(fetch_decomp, lru_opts);
     codepack::BlockFetcher::Options pf_opts;
     pf_opts.slots = hostpf_slots;
-    codepack::BlockFetcher pf_fetch(batch_decomp, pf_opts);
+    codepack::BlockFetcher pf_fetch(fetch_decomp, pf_opts);
     auto lruSweep = [&](u32 b) {
         const codepack::DecodedBlock &blk = lru_fetch.getFlat(b);
         asm volatile("" : : "r"(blk.words[0]) : "memory");
@@ -363,14 +338,7 @@ main()
     t.addRow({"decode, lut kernel",
               strfmt("%s blocks/s (%.1f ns/block)",
                      grouped(lut_bps).c_str(), nsPerBlock(lut_bps))});
-    t.addRow({"decode, lut2 kernel",
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(lut2_bps).c_str(), nsPerBlock(lut2_bps))});
-    t.addRow({"decode, lut2 batched (headline)",
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(batched_bps).c_str(),
-                     nsPerBlock(batched_bps))});
-    t.addRow({"batched speedup over checked",
+    t.addRow({"lut speedup over checked",
               strfmt("%.2fx (default kernel: %s)", decode_speedup,
                      codepack::decodeKernelName(
                          codepack::defaultDecodeKernel()))});
@@ -441,13 +409,9 @@ main()
         "    \"kernel_default\": \"%s\",\n"
         "    \"checked_blocks_per_sec\": %.0f,\n"
         "    \"lut_blocks_per_sec\": %.0f,\n"
-        "    \"lut2_blocks_per_sec\": %.0f,\n"
-        "    \"batched_blocks_per_sec\": %.0f,\n"
         "    \"checked_ns_per_block\": %.1f,\n"
         "    \"lut_ns_per_block\": %.1f,\n"
-        "    \"lut2_ns_per_block\": %.1f,\n"
-        "    \"batched_ns_per_block\": %.1f,\n"
-        "    \"batched_speedup\": %.3f\n"
+        "    \"lut_speedup\": %.3f\n"
         "  },\n"
         "  \"hostpf\": {\n"
         "    \"slots\": %u,\n"
@@ -482,9 +446,7 @@ main()
         compress_serial_s, compress_parallel_s, workers,
         compress_speedup,
         codepack::decodeKernelName(codepack::defaultDecodeKernel()),
-        checked_bps, lut_bps, lut2_bps, batched_bps,
-        nsPerBlock(checked_bps), nsPerBlock(lut_bps),
-        nsPerBlock(lut2_bps), nsPerBlock(batched_bps),
+        checked_bps, lut_bps, nsPerBlock(checked_bps), nsPerBlock(lut_bps),
         decode_speedup, hostpf_slots, lru_bps, fetcher_bps,
         warm_refill_speedup,
         static_cast<unsigned long long>(hostpf_issued),

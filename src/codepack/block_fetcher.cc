@@ -213,8 +213,8 @@ BlockFetcher::issuePrefetches(u32 flat)
     // Unit stride (sequential code) is the hot shape: a frontier marks
     // how far the current run has already been covered, so each access
     // extends coverage instead of rescanning the cache, and decodes
-    // run only in full spans to amortize the batched kernel's setup
-    // (the partial tail re-qualifies once the window slides).
+    // run only in full spans (the partial tail re-qualifies once the
+    // window slides).
     if (stride_ == 1) {
         s64 lo = std::max<s64>(frontier_, static_cast<s64>(flat) + 1);
         s64 hi =
@@ -223,7 +223,7 @@ BlockFetcher::issuePrefetches(u32 flat)
         while (hi - lo >= kSpanBlocks) {
             for (unsigned l = 0; l < kSpanBlocks; ++l)
                 flats[l] = static_cast<u32>(lo) + l;
-            issueSpan(flats, kSpanBlocks, true);
+            issueSpan(flats, kSpanBlocks);
             lo += kSpanBlocks;
         }
         frontier_ = static_cast<u32>(std::max<s64>(frontier_, lo));
@@ -231,7 +231,7 @@ BlockFetcher::issuePrefetches(u32 flat)
     }
 
     // Non-unit strides predict far fewer blocks per round; gather the
-    // not-yet-resident predictions into one (non-contiguous) span.
+    // not-yet-resident predictions into one span.
     u32 preds[kSpanBlocks];
     unsigned n = 0;
     unsigned ndepth = std::min(depth, kSpanBlocks);
@@ -243,44 +243,32 @@ BlockFetcher::issuePrefetches(u32 flat)
             preds[n++] = static_cast<u32>(p);
     }
     if (n > 0)
-        issueSpan(preds, n, false);
+        issueSpan(preds, n);
 }
 
 void
-BlockFetcher::issueSpan(const u32 *flats, unsigned count,
-                        bool contiguous)
+BlockFetcher::issueSpan(const u32 *flats, unsigned count)
 {
     pfIssued_ += count;
-
-    // Batched decode into the reusable scratch, then park each block in
-    // its slab entry. No allocation.
-    std::array<bool, kSpanBlocks> ok;
-    ok.fill(true);
-    if (domain_) {
-        // Speculative decodes race ahead of verification, so they may
-        // chew on corrupt bytes; the checked decoder turns that into a
-        // lane that is simply not parked — the demand fetch will
-        // verify, repair, and decode it.
-        for (unsigned l = 0; l < count; ++l) {
+    for (unsigned l = 0; l < count; ++l) {
+        DecodedBlock blk;
+        if (domain_) {
+            // Speculative decodes race ahead of verification, so they
+            // may chew on corrupt bytes; the checked decoder turns that
+            // into a block that is simply not parked — the demand
+            // fetch will verify, repair, and decode it.
             Result<DecodedBlock> r = decomp_.tryDecompressBlock(
                 flats[l] / kBlocksPerGroup, flats[l] % kBlocksPerGroup);
-            ok[l] = r.ok();
-            if (ok[l])
-                scratch_[l] = *r;
+            if (!r)
+                continue;
+            blk = *r;
+        } else {
+            blk = decomp_.decompressFlatBlock(flats[l]);
         }
-    } else if (contiguous) {
-        decomp_.decompressBlocks(flats[0], count, scratch_.data());
-    } else {
-        for (unsigned l = 0; l < count; ++l)
-            scratch_[l] = decomp_.decompressFlatBlock(flats[l]);
-    }
-    for (unsigned l = 0; l < count; ++l) {
-        if (!ok[l])
-            continue;
         u32 slot = claimSlot(flats[l]);
         Entry &e = slab_[slot];
         e.prefetched = true;
-        e.blk = scratch_[l];
+        e.blk = blk;
         pushFront(slot);
     }
 }

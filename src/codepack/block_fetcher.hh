@@ -7,22 +7,18 @@
  *
  * The fetcher watches the flat-block access sequence, confirms a
  * stride (sequential fetch is stride 1), and speculatively decodes the
- * predicted next blocks inline with the batched multi-lane kernel
- * (Decompressor::decompressBlocks). Decoded blocks live in an LRU-of-N
- * cache.
+ * predicted next blocks inline, block by block, in up-to-16-block
+ * spans. Decoded blocks live in an LRU-of-N cache.
  *
  * The hot path is allocation-free: entries live in a fixed slab with
- * intrusive LRU links, the flat->slot map is a dense vector (flat
- * block numbers are small and bounded by the image), and speculative
- * decodes run in up-to-16-block spans into a reused scratch array.
- * Every cache decision and counter is a pure function of the access
- * sequence.
+ * intrusive LRU links and the flat->slot map is a dense vector (flat
+ * block numbers are small and bounded by the image). Every cache
+ * decision and counter is a pure function of the access sequence.
  */
 
 #ifndef CPS_CODEPACK_BLOCK_FETCHER_HH
 #define CPS_CODEPACK_BLOCK_FETCHER_HH
 
-#include <array>
 #include <vector>
 
 #include "decompressor.hh"
@@ -52,7 +48,7 @@ class BlockFetcher
         unsigned depth = 32;
     };
 
-    /** Blocks decoded per speculative span (one batched decode). */
+    /** Most blocks one speculative span decodes. */
     static constexpr unsigned kSpanBlocks = 16;
 
     /**
@@ -129,7 +125,7 @@ class BlockFetcher
     void poisonSlot(u32 flat);
     void train(u32 flat);
     void issuePrefetches(u32 flat);
-    void issueSpan(const u32 *flats, unsigned count, bool contiguous);
+    void issueSpan(const u32 *flats, unsigned count);
 
     const Decompressor &decomp_;
     Options opts_;
@@ -148,9 +144,6 @@ class BlockFetcher
     /** One past the highest flat covered by the current unit-stride
      *  prefetch run; avoids rescanning the cache every access. */
     u32 frontier_ = 0;
-
-    /** Speculative decode target: reused, so no per-span allocation. */
-    std::array<DecodedBlock, kSpanBlocks> scratch_;
 
     SoftErrorDomain *domain_ = nullptr;
     FetchCheck lastCheck_ = FetchCheck::Clean;

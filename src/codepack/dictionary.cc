@@ -260,44 +260,5 @@ Dictionary::bankEntries(unsigned bank) const
     return entries_[bank];
 }
 
-PairLut::PairLut(const Dictionary &high, const Dictionary &low)
-{
-    constexpr unsigned kLut = Dictionary::kLutBits;
-    constexpr u32 kMask = (1u << kBits) - 1;
-    lut_.assign(size_t{1} << kBits, 0);
-    const u32 *hlut = high.lutData();
-    const u32 *llut = low.lutData();
-    for (u32 p = 0; p <= kMask; ++p) {
-        // The high probe sees the window's top kLutBits bits; every
-        // high codeword fits there (max length == kLutBits).
-        u32 eh = hlut[p >> (kBits - kLut)];
-        if (!Dictionary::lutIsValue(eh))
-            continue; // raw escape / unpopulated index: escape slot
-        unsigned lh = Dictionary::lutLen(eh);
-        u16 hi = Dictionary::lutValue(eh);
-        lut_[p] = entry(hi, 0, lh, 1);
-        unsigned visible = kBits - lh;
-        // The window bits behind the high codeword, zero-padded up to a
-        // full low-LUT index. A low codeword no longer than `visible`
-        // is unambiguous from those bits alone (prefix-free code), so
-        // the padded probe resolves it exactly; longer resolutions are
-        // artifacts of the padding and stay single-symbol.
-        u32 el = llut[((p << lh) & kMask) >> (kBits - kLut)];
-        if (Dictionary::lutIsValue(el) &&
-            Dictionary::lutLen(el) <= visible)
-            lut_[p] = entry(hi, Dictionary::lutValue(el),
-                            lh + Dictionary::lutLen(el), 2);
-    }
-}
-
-unsigned
-PairLut::pairSlots() const
-{
-    unsigned n = 0;
-    for (u64 e : lut_)
-        n += symbols(e) == 2;
-    return n;
-}
-
 } // namespace codepack
 } // namespace cps

@@ -1,6 +1,5 @@
 #include "resilience.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -36,22 +35,6 @@ worse(FetchCheck a, FetchCheck b)
 }
 
 } // namespace
-
-unsigned
-defaultEccRetries()
-{
-    return static_cast<unsigned>(
-        envUnsigned("CPS_ECC_RETRIES", 2, 0, 1000000,
-                    "an unsigned integer (refetch budget)"));
-}
-
-unsigned
-defaultFlipRatePpm()
-{
-    return static_cast<unsigned>(
-        envUnsigned("CPS_FLIP_RATE", 0, 0, 1000000,
-                    "flips per million fetches, 0..1000000"));
-}
 
 SoftErrorDomain::SoftErrorDomain(CompressedImage &mem, u64 seed,
                                  unsigned flip_rate_ppm,

@@ -2,7 +2,7 @@
  * @file
  * TraceBuffer (de)serialization for the artifact cache: pregeneration
  * records each benchmark's functional trace once, and warm runs load it
- * from disk instead of re-executing up to CPS_TRACE_INSNS instructions.
+ * from disk instead of re-executing up to Suite::traceInsns() instructions.
  */
 
 #include "trace.hh"

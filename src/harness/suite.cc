@@ -113,7 +113,7 @@ buildBenchProgram(const std::string &name, const ArtifactCache &cache,
     // machine configuration replays the same immutable buffer
     // (published by the caller's once-flag, so cross-thread reads are
     // safe).
-    if (Suite::replayEnabled() && trace_cap > 0) {
+    if (Suite::replayEnabled()) {
         const std::string trace_key =
             benchTraceKey(*bench->profile, trace_cap);
         if (auto bytes = cache.load(trace_key)) {
@@ -173,13 +173,10 @@ Suite::runInsns()
 u64
 Suite::traceInsns()
 {
-    // The default leaves slack past runInsns() so an OoO front end
-    // fetching ahead of its commit budget never outruns a truncated
-    // trace (see replayLookahead; 4096 covers any plausible RUU depth).
-    static const u64 cached =
-        envUnsigned("CPS_TRACE_INSNS", runInsns() + 4096, 0, UINT64_MAX,
-                    "an unsigned integer");
-    return cached;
+    // Slack past runInsns() so an OoO front end fetching ahead of its
+    // commit budget never outruns a truncated trace (see
+    // replayLookahead; 4096 covers any plausible RUU depth).
+    return runInsns() + 4096;
 }
 
 bool

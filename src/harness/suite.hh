@@ -76,11 +76,9 @@ class Suite
     static u64 runInsns();
 
     /**
-     * Trace-entry cap per benchmark (the trace-replay memory knob, 16
-     * bytes per entry). Defaults to runInsns() plus enough slack to
-     * cover the deepest OoO fetch-ahead; override with CPS_TRACE_INSNS
-     * (0 disables recording entirely). Runs longer than the recorded
-     * trace fall back to live execution.
+     * Trace-entry cap per benchmark (16 bytes per entry): runInsns()
+     * plus enough slack to cover the deepest OoO fetch-ahead. Runs
+     * longer than the recorded trace fall back to live execution.
      */
     static u64 traceInsns();
 

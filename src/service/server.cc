@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <poll.h>
 #include <set>
@@ -27,15 +29,6 @@ constexpr size_t kMaxOutputBacklog = 8u << 20;
  *  exit/drain conditions at least this often. */
 constexpr long kMaxPollMs = 1000;
 
-long
-envLong(const char *name, long fallback)
-{
-    const char *env = std::getenv(name);
-    if (!env || *env == '\0')
-        return fallback;
-    return std::atol(env);
-}
-
 } // namespace
 
 u64
@@ -54,18 +47,26 @@ ServiceConfig::fromEnv()
     if (const char *env = std::getenv("CPS_SERVE_SOCKET"))
         if (*env != '\0')
             cfg.socketPath = env;
-    long workers = envLong("CPS_SERVE_WORKERS", cfg.workers);
-    cfg.workers = workers < 1 ? 1 : static_cast<unsigned>(workers);
-    long queue_max = envLong("CPS_SERVE_QUEUE_MAX", cfg.queueMax);
-    cfg.queueMax = queue_max < 1 ? 1 : static_cast<u32>(queue_max);
-    long deadline = envLong("CPS_SERVE_DEADLINE_MS",
-                            static_cast<long>(cfg.deadlineMs));
-    cfg.deadlineMs = deadline < 1 ? 1 : static_cast<u64>(deadline);
-    long stall = envLong("CPS_SERVE_STALL_MS", cfg.stallMs);
-    cfg.stallMs = stall < 1 ? 1 : stall;
+    cfg.workers = static_cast<unsigned>(
+        envUnsigned("CPS_SERVE_WORKERS", cfg.workers, 1, UINT_MAX,
+                    "a positive integer"));
+    cfg.queueMax = static_cast<u32>(
+        envUnsigned("CPS_SERVE_QUEUE_MAX", cfg.queueMax, 1, UINT32_MAX,
+                    "a positive integer"));
+    cfg.deadlineMs = envUnsigned("CPS_SERVE_DEADLINE_MS", cfg.deadlineMs, 1,
+                                 LONG_MAX, "a positive integer (ms)");
+    cfg.stallMs = static_cast<long>(
+        envUnsigned("CPS_SERVE_STALL_MS", static_cast<u64>(cfg.stallMs), 1,
+                    LONG_MAX, "a positive integer (ms)"));
     if (const char *env = std::getenv("CPS_SERVE_ALLOW_FAULTS"))
         cfg.allowFaultInjection = std::string(env) != "0";
-    cfg.exitAfterCells = envLong("CPS_TEST_SERVE_EXIT_AFTER_CELLS", -1);
+    // Unset (or malformed) means never: the sentinel is out of range.
+    constexpr u64 kNever = UINT64_MAX;
+    const u64 exit_after =
+        envUnsigned("CPS_TEST_SERVE_EXIT_AFTER_CELLS", kNever, 0, LONG_MAX,
+                    "an unsigned integer");
+    cfg.exitAfterCells = exit_after == kNever ? -1
+                                              : static_cast<long>(exit_after);
     cfg.runner = harness::CellRunnerConfig::fromEnv();
     cfg.resume = harness::resumeEnabled();
     cfg.cacheDir = harness::journalDir();

@@ -9,7 +9,7 @@ trajectory record without any package installs.
 import json
 import sys
 
-EXPECTED_SCHEMA = 10
+EXPECTED_SCHEMA = 11
 
 # section -> keys that must be present (values are checked to be of the
 # right shape, not of any particular magnitude: wall-clock numbers are
@@ -26,13 +26,9 @@ REQUIRED = {
         "kernel_default",
         "checked_blocks_per_sec",
         "lut_blocks_per_sec",
-        "lut2_blocks_per_sec",
-        "batched_blocks_per_sec",
         "checked_ns_per_block",
         "lut_ns_per_block",
-        "lut2_ns_per_block",
-        "batched_ns_per_block",
-        "batched_speedup",
+        "lut_speedup",
     ],
     "hostpf": [
         "slots",
@@ -94,14 +90,12 @@ def main():
                 fail("missing key %r in section %r" % (key, section))
 
     dec = doc["decode"]
-    if dec["kernel_default"] not in ("checked", "lut", "lut2"):
+    if dec["kernel_default"] not in ("checked", "lut"):
         fail("decode.kernel_default %r is not a known kernel"
              % dec["kernel_default"])
     for key in (
         "checked_blocks_per_sec",
         "lut_blocks_per_sec",
-        "lut2_blocks_per_sec",
-        "batched_blocks_per_sec",
     ):
         if not (isinstance(dec[key], (int, float)) and dec[key] > 0):
             fail("decode.%s should be a positive number, got %r"

@@ -155,7 +155,7 @@ TEST(BlockFetcher, ConcurrentFetchersShareOneDecompressor)
 {
     // Several fetchers (each single-consumer, as required) over the
     // same decompressor, running concurrently: exercises parallel
-    // decompressBlocks and speculation under TSan.
+    // speculative span decodes under TSan.
     const BenchProgram &bench = Suite::instance().get("go");
     Decompressor d(bench.image);
     Decompressor ref(bench.image, DecodeKernel::Checked);
@@ -318,7 +318,7 @@ TEST(BlockFetcherDomain, UnrecoverableSurfacesStructuredError)
 
 TEST(BlockFetcherDomain, SelfInjectionSoakStaysByteIdentical)
 {
-    // CPS_FLIP_RATE's mechanism at its most hostile setting: a flip
+    // Background self-injection at its most hostile setting: a flip
     // injected on (up to) every fetch, SEC-DED correcting or the
     // refetch path recovering each one — decode output never changes.
     DomainRig rig("pegwit", ProtectKind::SecDed);

@@ -63,30 +63,6 @@ TEST(ProtectKind, NamesRoundTrip)
     EXPECT_FALSE(parseProtectKind("", parsed));
 }
 
-TEST(ProtectKind, DefaultReadsEnvAfresh)
-{
-    {
-        EnvGuard guard("CPS_ECC", nullptr);
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::None);
-    }
-    {
-        EnvGuard guard("CPS_ECC", "secded");
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::SecDed);
-    }
-    {
-        EnvGuard guard("CPS_ECC", "crc16");
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::Crc16);
-    }
-    {
-        // Malformed: warns (once per process) and falls back to None.
-        EnvGuard guard("CPS_ECC", "bogus");
-        unsigned long before = warnCount();
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::None);
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::None);
-        EXPECT_EQ(warnCount(), before + 1);
-    }
-}
-
 TEST(EnvWarnOnce, WarnsOncePerName)
 {
     unsigned long before = warnCount();

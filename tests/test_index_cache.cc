@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/index_cache.hh"
+#include "common/rng.hh"
 
 namespace cps
 {
@@ -190,6 +193,73 @@ TEST(IndexCache, FullyAssociativeDefaultUnchangedBySets)
         if (!h1) {
             flat.fill(group);
             one_set.fill(group);
+        }
+    }
+}
+
+/** Seeded random group stream: mostly a hot region, some far jumps. */
+std::vector<u32>
+randomGroups(u64 seed, size_t count)
+{
+    Rng rng(seed);
+    std::vector<u32> out;
+    out.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        out.push_back(static_cast<u32>(rng.below(4) == 0 ? rng.below(4096)
+                                                         : rng.below(96)));
+    return out;
+}
+
+/** Nested loops: a body of @p body groups re-walked, drifting slowly. */
+std::vector<u32>
+loopingGroups(u32 body, size_t count)
+{
+    std::vector<u32> out;
+    out.reserve(count);
+    for (u32 base = 0; out.size() < count; base += body / 3 + 1)
+        for (unsigned pass = 0; pass < 4 && out.size() < count; ++pass)
+            for (u32 g = 0; g < body && out.size() < count; ++g)
+                out.push_back(base + g);
+    return out;
+}
+
+TEST(IndexCache, LruStackInclusion)
+{
+    // LRU is a stack algorithm: on the same demand-filled stream, the
+    // lines a fully-associative LRU cache holds are always a subset of
+    // what a larger one holds, so the larger cache hits wherever the
+    // smaller one does.
+    std::vector<std::vector<u32>> streams;
+    for (u64 seed : {1ull, 7ull, 0x1dc0ull})
+        streams.push_back(randomGroups(seed, 6000));
+    for (u32 body : {5u, 31u, 64u, 130u, 257u})
+        streams.push_back(loopingGroups(body, 6000));
+
+    const unsigned sizes[] = {1, 2, 3, 4, 8, 16, 33, 64, 128, 512};
+    for (unsigned per_line : {1u, 4u}) {
+        for (size_t si = 0; si < streams.size(); ++si) {
+            std::vector<IndexCache> caches;
+            for (unsigned lines : sizes)
+                caches.emplace_back(lines, per_line);
+            std::vector<u64> hits(caches.size(), 0);
+            for (size_t step = 0; step < streams[si].size(); ++step) {
+                u32 group = streams[si][step];
+                bool smaller_hit = false;
+                for (size_t c = 0; c < caches.size(); ++c) {
+                    bool hit = caches[c].access(group);
+                    if (!hit)
+                        caches[c].fill(group);
+                    ASSERT_TRUE(hit || !smaller_hit)
+                        << "stream " << si << " step " << step << ": "
+                        << sizes[c] << " lines missed where "
+                        << sizes[c - 1] << " hit (per_line " << per_line
+                        << ")";
+                    smaller_hit = hit;
+                    hits[c] += hit;
+                }
+            }
+            // The property has teeth only if the sizes actually differ.
+            EXPECT_LT(hits.front(), hits.back()) << "stream " << si;
         }
     }
 }

@@ -18,13 +18,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
+#include "common/logging.hh"
 #include "harness/engine.hh"
 #include "service/client.hh"
 #include "service/daemon_harness.hh"
@@ -130,7 +133,71 @@ warmSuite()
     Suite::instance().get("pegwit");
 }
 
+/** Scoped environment override, restored on destruction. */
+class EnvGuard
+{
+  public:
+    EnvGuard(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+    ~EnvGuard()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
 } // namespace
+
+// ---------------------------------------------------------------
+// Environment knobs.
+// ---------------------------------------------------------------
+
+TEST(ServiceConfigEnv, MalformedIntegerKnobsKeepDefaultsAndWarn)
+{
+    // None of these may be read as a number: "abc" must not become a
+    // 1 ms deadline that expires every request, nor "1e3" one worker.
+    EnvGuard workers("CPS_SERVE_WORKERS", "1e3");
+    EnvGuard queue("CPS_SERVE_QUEUE_MAX", "0");
+    EnvGuard deadline("CPS_SERVE_DEADLINE_MS", "abc");
+    EnvGuard stall("CPS_SERVE_STALL_MS", "-5");
+    EnvGuard exit_after("CPS_TEST_SERVE_EXIT_AFTER_CELLS", "2x");
+    unsigned long before = warnCount();
+    ServiceConfig cfg = ServiceConfig::fromEnv();
+    const ServiceConfig dflt;
+    EXPECT_EQ(cfg.workers, dflt.workers);
+    EXPECT_EQ(cfg.queueMax, dflt.queueMax);
+    EXPECT_EQ(cfg.deadlineMs, dflt.deadlineMs);
+    EXPECT_EQ(cfg.stallMs, dflt.stallMs);
+    EXPECT_EQ(cfg.exitAfterCells, -1);
+    EXPECT_EQ(warnCount(), before + 5);
+}
+
+TEST(ServiceConfigEnv, ValidIntegerKnobsApply)
+{
+    EnvGuard workers("CPS_SERVE_WORKERS", "3");
+    EnvGuard queue("CPS_SERVE_QUEUE_MAX", "1");
+    EnvGuard deadline("CPS_SERVE_DEADLINE_MS", "2500");
+    EnvGuard stall("CPS_SERVE_STALL_MS", "40");
+    EnvGuard exit_after("CPS_TEST_SERVE_EXIT_AFTER_CELLS", "0");
+    unsigned long before = warnCount();
+    ServiceConfig cfg = ServiceConfig::fromEnv();
+    EXPECT_EQ(cfg.workers, 3u);
+    EXPECT_EQ(cfg.queueMax, 1u);
+    EXPECT_EQ(cfg.deadlineMs, 2500u);
+    EXPECT_EQ(cfg.stallMs, 40);
+    EXPECT_EQ(cfg.exitAfterCells, 0);
+    EXPECT_EQ(warnCount(), before);
+}
 
 // ---------------------------------------------------------------
 // Wire protocol round-trips.
