@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "codepack/decompressor.hh"
+#include "codepack/imagefile.hh"
+#include "common/artifact_cache.hh"
 #include "common/rng.hh"
 #include "isa/isa.hh"
+#include "progen/progen.hh"
 
 namespace cps
 {
@@ -303,6 +310,60 @@ TEST(Compressor, AllNopsCompressExtremelyWell)
     EXPECT_LT(img.compressionRatio(), 0.35);
     Decompressor d(img);
     EXPECT_EQ(d.decompressAll(), words);
+}
+
+/**
+ * The encoded image of every standard profile, unprotected (.cpi v2)
+ * and SEC-DED protected (.cpi v3), as the lines of
+ * tests/golden/images.txt: "<profile> <protect> <bytes> <fnv1a64>".
+ */
+std::string
+imagePins()
+{
+    std::string out;
+    for (const BenchmarkProfile &p : standardProfiles()) {
+        CompressedImage img = compress(generateProgram(p));
+        for (ProtectKind kind : {ProtectKind::None, ProtectKind::SecDed}) {
+            protectImage(img, kind);
+            std::vector<u8> bytes = encodeImage(img);
+            out += p.name + " " +
+                   (kind == ProtectKind::None ? "off" : "secded") + " " +
+                   std::to_string(bytes.size()) + " " +
+                   ArtifactCache::keyHash(
+                       std::string(bytes.begin(), bytes.end())) +
+                   "\n";
+        }
+    }
+    return out;
+}
+
+TEST(CompressorGolden, EncodedImagesMatchPins)
+{
+    // The committed pins were generated before any compressor change;
+    // a mismatch means .cpi bytes moved. If that is intended, replace
+    // the file with the regenerated lines printed below.
+    std::ifstream in(CPS_GOLDEN_DIR "/images.txt");
+    ASSERT_TRUE(in) << "missing " CPS_GOLDEN_DIR "/images.txt";
+    std::string want, line;
+    while (std::getline(in, line))
+        if (!line.empty() && line[0] != '#')
+            want += line + "\n";
+    const std::string got = imagePins();
+    EXPECT_EQ(got, want) << "regenerated pins:\n" << got;
+}
+
+TEST(CompressorGolden, ImageFilesRoundTripByteExact)
+{
+    // decode then re-encode reproduces the file byte for byte, for the
+    // v2 (unprotected) and v3 (protected) formats alike.
+    CompressedImage img = compress(generateProgram(findProfile("go")));
+    for (ProtectKind kind : {ProtectKind::None, ProtectKind::SecDed}) {
+        protectImage(img, kind);
+        const std::vector<u8> bytes = encodeImage(img);
+        auto decoded = decodeImageChecked(bytes);
+        ASSERT_TRUE(decoded.ok()) << protectKindName(kind);
+        EXPECT_EQ(encodeImage(*decoded), bytes) << protectKindName(kind);
+    }
 }
 
 } // namespace
