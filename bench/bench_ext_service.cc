@@ -15,8 +15,8 @@
  *     tiny admission bound is burst-loaded and must reject with
  *     structured OVERLOADED, not queue or die.
  *
- * Appends a "service" section to BENCH_simperf.json (schema 4),
- * preserving the host-perf sections bench_ext_simperf wrote.
+ * Exits nonzero when a request fails, the warm pass executes any cell,
+ * the pressure pass sheds nothing, or the daemon does not drain cleanly.
  */
 
 #include <algorithm>
@@ -24,8 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -149,50 +147,6 @@ statValue(const std::string &stats, const std::string &key)
     if (pos == std::string::npos)
         return -1;
     return std::atol(stats.c_str() + pos + key.size() + 1);
-}
-
-/**
- * Merges the "service" section into BENCH_simperf.json without a JSON
- * parser: drop any previous service section (always the final section,
- * written by this bench), then splice before the closing brace. A
- * missing or unrecognizable file gets a fresh schema-4 skeleton.
- */
-bool
-writeServiceJson(const std::string &section)
-{
-    const char *path = "BENCH_simperf.json";
-    std::string base;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            base = ss.str();
-        }
-    }
-    size_t prev = base.find(",\n  \"service\":");
-    if (prev != std::string::npos)
-        base = base.substr(0, prev) + "\n}\n";
-    size_t schema = base.find("\"schema\": 3");
-    if (schema != std::string::npos)
-        base.replace(schema, 11, "\"schema\": 4");
-    size_t close = base.rfind('}');
-    std::string out;
-    if (base.empty() || close == std::string::npos ||
-        base.find("\"schema\"") == std::string::npos) {
-        out = "{\n  \"schema\": 4" + section + "\n}\n";
-    } else {
-        std::string head = base.substr(0, close);
-        while (!head.empty() &&
-               (head.back() == '\n' || head.back() == ' '))
-            head.pop_back();
-        out = head + section + "\n}\n";
-    }
-    std::ofstream outf(path, std::ios::trunc);
-    if (!outf)
-        return false;
-    outf << out;
-    return outf.good();
 }
 
 } // namespace
@@ -322,44 +276,6 @@ main()
         std::printf("\nmain daemon exited %d (want clean drain 0)\n",
                     rc);
         ok = false;
-    }
-
-    std::string section = strfmt(
-        ",\n  \"service\": {\n"
-        "    \"clients\": %u,\n"
-        "    \"requests\": %u,\n"
-        "    \"cells_per_request\": %u,\n"
-        "    \"cell_pool\": %u,\n"
-        "    \"cold\": {\n"
-        "      \"p50_ms\": %.2f,\n"
-        "      \"p99_ms\": %.2f,\n"
-        "      \"cells_per_sec\": %.1f,\n"
-        "      \"executed_cells\": %ld,\n"
-        "      \"shed\": %u\n"
-        "    },\n"
-        "    \"warm\": {\n"
-        "      \"p50_ms\": %.2f,\n"
-        "      \"p99_ms\": %.2f,\n"
-        "      \"cells_per_sec\": %.1f,\n"
-        "      \"executed_cells\": %ld,\n"
-        "      \"shed\": %u\n"
-        "    },\n"
-        "    \"pressure\": {\n"
-        "      \"requests\": %u,\n"
-        "      \"shed\": %u,\n"
-        "      \"shed_rate\": %.3f\n"
-        "    }\n"
-        "  }",
-        kClients, total_requests, kCellsPerRequest, kCellPool, cold_p50,
-        cold_p99, cold_cps, cold_executed, cold.shed, warm_p50, warm_p99,
-        warm_cps, warm_delta, warm.shed, total_requests, pressure.shed,
-        shed_rate);
-    if (!writeServiceJson(section)) {
-        std::fprintf(stderr, "could not write BENCH_simperf.json\n");
-        ok = false;
-    } else {
-        std::printf("\nMerged \"service\" into BENCH_simperf.json "
-                    "(schema 4).\n");
     }
 
     std::filesystem::remove_all(scratch, ec);

@@ -24,8 +24,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -89,44 +87,6 @@ refetchCycles(const codepack::CompressedImage &img,
            beats * static_cast<double>(mc.beatRate) + dcfg.eccCheckCycles;
 }
 
-/** Merges the "softerr" section into BENCH_simperf.json (no JSON
- *  parser: drop any previous softerr section, splice before the
- *  closing brace; a missing file gets a fresh schema-11 skeleton). */
-bool
-writeSoftErrJson(const std::string &section)
-{
-    const char *path = "BENCH_simperf.json";
-    std::string base;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            base = ss.str();
-        }
-    }
-    size_t prev = base.find(",\n  \"softerr\":");
-    if (prev != std::string::npos)
-        base = base.substr(0, prev) + "\n}\n";
-    size_t close = base.rfind('}');
-    std::string out;
-    if (base.empty() || close == std::string::npos ||
-        base.find("\"schema\"") == std::string::npos) {
-        out = "{\n  \"schema\": 11" + section + "\n}\n";
-    } else {
-        std::string head = base.substr(0, close);
-        while (!head.empty() &&
-               (head.back() == '\n' || head.back() == ' '))
-            head.pop_back();
-        out = head + section + "\n}\n";
-    }
-    std::ofstream outf(path, std::ios::trunc);
-    if (!outf)
-        return false;
-    outf << out;
-    return outf.good();
-}
-
 } // namespace
 
 int
@@ -164,7 +124,6 @@ main()
     unsigned none_silent = 0;
     unsigned none_upsets = 0;
     bool all_counted = true;
-    fault::SoftCampaignResult secded_total;
     for (size_t i = 0; i < names.size(); ++i) {
         for (unsigned m = 0; m < kNumModes; ++m) {
             const fault::SoftCampaignResult &r =
@@ -189,11 +148,6 @@ main()
             } else {
                 protected_silent += r.silentWrong();
             }
-            if (kind == ProtectKind::SecDed) {
-                for (unsigned o = 0; o < fault::kNumSoftOutcomes; ++o)
-                    secded_total.byOutcome[o] += r.byOutcome[o];
-                secded_total.trials += r.trials;
-            }
             if (r.silentWrong() > 0 && kind != ProtectKind::None)
                 std::printf("  !! %s/%s first escape: %s\n",
                             names[i].c_str(), protectKindName(kind),
@@ -209,16 +163,12 @@ main()
     c.setTitle("Protection storage and modeled recovery latency");
     c.addHeader({"Bench", "crc8 cost", "crc16 cost", "secded cost",
                  "check", "correct", "refetch"});
-    double secded_cost_sum = 0.0;
-    double refetch_sum = 0.0;
     for (const std::string &name : names) {
         const BenchProgram &bench = suite.get(name);
         double c8 = overheadPct(bench.image, ProtectKind::Crc8);
         double c16 = overheadPct(bench.image, ProtectKind::Crc16);
         double sd = overheadPct(bench.image, ProtectKind::SecDed);
         double rf = refetchCycles(bench.image, dcfg);
-        secded_cost_sum += sd;
-        refetch_sum += rf;
         c.addRow({name, strfmt("%.2f%%", c8), strfmt("%.2f%%", c16),
                   strfmt("%.2f%%", sd),
                   strfmt("%u cyc", dcfg.eccCheckCycles),
@@ -226,39 +176,6 @@ main()
                   strfmt("%.1f cyc", rf)});
     }
     c.print();
-
-    std::string section = strfmt(
-        ",\n  \"softerr\": {\n"
-        "    \"trials_per_kind\": %u,\n"
-        "    \"upsets_per_profile\": %u,\n"
-        "    \"profiles\": %zu,\n"
-        "    \"none_upsets\": %u,\n"
-        "    \"none_silent_wrong\": %u,\n"
-        "    \"none_silent_rate\": %.6f,\n"
-        "    \"protected_silent_wrong\": %u,\n"
-        "    \"secded_upsets\": %u,\n"
-        "    \"secded_corrected\": %u,\n"
-        "    \"secded_refetched\": %u,\n"
-        "    \"secded_detected\": %u,\n"
-        "    \"secded_cost_pct_mean\": %.4f,\n"
-        "    \"check_cycles\": %u,\n"
-        "    \"correct_cycles\": %u,\n"
-        "    \"refetch_cycles_mean\": %.2f\n"
-        "  }",
-        trials, per_mode * kNumModes, names.size(), none_upsets,
-        none_silent,
-        static_cast<double>(none_silent) /
-            (none_upsets ? none_upsets : 1),
-        protected_silent, secded_total.trials,
-        secded_total.count(fault::SoftOutcome::Corrected),
-        secded_total.count(fault::SoftOutcome::Refetched),
-        secded_total.count(fault::SoftOutcome::DetectedUnrecoverable),
-        secded_cost_sum / names.size(), dcfg.eccCheckCycles,
-        dcfg.eccCorrectCycles, refetch_sum / names.size());
-    if (!writeSoftErrJson(section))
-        std::fprintf(stderr, "could not write BENCH_simperf.json\n");
-    else
-        std::printf("\nMerged \"softerr\" into BENCH_simperf.json.\n");
 
     std::printf("\nReading: unprotected compressed code decodes %u of "
                 "%u upsets to wrong instructions with no error raised; "

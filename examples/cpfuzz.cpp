@@ -39,6 +39,7 @@
  */
 
 #include <csignal>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -47,6 +48,7 @@
 #include "asmkit/objfile.hh"
 #include "codepack/compressor.hh"
 #include "common/byteio.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "fault/campaign.hh"
 #include "fault/soft_campaign.hh"
@@ -137,9 +139,10 @@ main(int argc, char **argv)
         };
         if (arg == "--trials") {
             cfg.trials = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                argUnsigned("--trials", next().c_str(), 1, UINT_MAX));
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next().c_str(), nullptr, 0);
+            cfg.seed = argUnsigned("--seed", next().c_str(), 0, UINT64_MAX,
+                                   0);
         } else if (arg == "--no-crc") {
             cfg.verifyCrc = false;
         } else if (arg == "--runtime-flips") {

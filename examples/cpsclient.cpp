@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "service/client.hh"
 
 using namespace cps;
@@ -130,7 +131,7 @@ cmdRun(ServiceClient &client, int argc, char **argv)
             }
             ++i;
         } else if (arg == "--base" && value) {
-            long b = std::atol(value);
+            u64 b = parseUnsigned(value, 1, 8).value_or(0);
             if (b == 1)
                 base = BaseMachine::Issue1;
             else if (b == 4)
@@ -143,10 +144,10 @@ cmdRun(ServiceClient &client, int argc, char **argv)
             }
             ++i;
         } else if (arg == "--insns" && value) {
-            insns = static_cast<u64>(std::atoll(value));
+            insns = argUnsigned("--insns", value, 0, UINT64_MAX);
             ++i;
         } else if (arg == "--deadline" && value) {
-            deadline_ms = static_cast<u64>(std::atoll(value));
+            deadline_ms = argUnsigned("--deadline", value, 0, UINT64_MAX);
             ++i;
         } else {
             return usage();

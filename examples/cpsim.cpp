@@ -20,6 +20,7 @@
 
 #include "asmkit/assembler.hh"
 #include "common/byteio.hh"
+#include "common/logging.hh"
 #include "asmkit/objfile.hh"
 #include "codepack/imagefile.hh"
 #include "harness/suite.hh"
@@ -77,23 +78,23 @@ main(int argc, char **argv)
             else
                 cps_fatal("unknown code model '%s'", m.c_str());
         } else if (arg == "--insns") {
-            insns = std::strtoull(next().c_str(), nullptr, 10);
+            insns = argUnsigned("--insns", next().c_str(), 1, UINT64_MAX);
         } else if (arg == "--icache") {
-            cfg.icache.sizeBytes =
-                static_cast<u32>(std::strtoul(next().c_str(), nullptr,
-                                              10)) * 1024;
+            cfg.icache.sizeBytes = static_cast<u32>(
+                argUnsigned("--icache", next().c_str(), 1,
+                            UINT32_MAX / 1024) * 1024);
         } else if (arg == "--bus") {
-            cfg.mem.busWidthBits =
-                static_cast<unsigned>(std::strtoul(next().c_str(),
-                                                   nullptr, 10));
+            cfg.mem.busWidthBits = static_cast<unsigned>(
+                argUnsigned("--bus", next().c_str(), 8, 1024));
         } else if (arg == "--memlat") {
             std::string v = next();
             size_t comma = v.find(',');
             if (comma == std::string::npos)
                 cps_fatal("--memlat wants FIRST,RATE");
-            cfg.mem.firstAccess = std::strtoull(v.c_str(), nullptr, 10);
-            cfg.mem.beatRate =
-                std::strtoull(v.c_str() + comma + 1, nullptr, 10);
+            cfg.mem.firstAccess = argUnsigned(
+                "--memlat", v.substr(0, comma).c_str(), 0, UINT32_MAX);
+            cfg.mem.beatRate = argUnsigned(
+                "--memlat", v.c_str() + comma + 1, 0, UINT32_MAX);
         } else if (arg == "--image") {
             image_path = next();
         } else if (arg == "--stats") {

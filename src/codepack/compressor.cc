@@ -1,11 +1,7 @@
 #include "compressor.hh"
 
-#include <algorithm>
-#include <memory>
-
 #include "common/bitstream.hh"
 #include "common/logging.hh"
-#include "common/threadpool.hh"
 #include "isa/isa.hh"
 
 namespace cps
@@ -85,49 +81,6 @@ compressBlock(const u32 *insns, const Dictionary &high,
     return out;
 }
 
-/**
- * Halfword frequencies over @p words: one full-range count array per
- * half. With a pool, each worker histograms a contiguous chunk into
- * private counters which are then summed in chunk order — the totals
- * are exactly the serial ones (counts are order-independent), so the
- * dictionaries built from them are too.
- */
-void
-histogramHalves(const std::vector<u32> &words, ThreadPool *pool,
-                std::vector<u64> &hi, std::vector<u64> &lo)
-{
-    hi.assign(65536, 0);
-    lo.assign(65536, 0);
-    auto accumulate = [](const u32 *w, size_t n, u64 *h, u64 *l) {
-        for (size_t i = 0; i < n; ++i) {
-            ++h[w[i] >> 16];
-            ++l[w[i] & 0xffff];
-        }
-    };
-    size_t chunks = pool ? std::min<size_t>(pool->size(), 16) : 1;
-    if (chunks > 1 && words.size() >= 4096) {
-        std::vector<std::vector<u64>> hi_part(chunks), lo_part(chunks);
-        size_t per = (words.size() + chunks - 1) / chunks;
-        pool->parallelFor(chunks, [&](size_t c) {
-            std::vector<u64> &h = hi_part[c];
-            std::vector<u64> &l = lo_part[c];
-            h.assign(65536, 0);
-            l.assign(65536, 0);
-            size_t begin = c * per;
-            size_t end = std::min(words.size(), begin + per);
-            accumulate(words.data() + begin, end - begin, h.data(),
-                       l.data());
-        });
-        for (size_t c = 0; c < chunks; ++c)
-            for (size_t v = 0; v < 65536; ++v) {
-                hi[v] += hi_part[c][v];
-                lo[v] += lo_part[c][v];
-            }
-    } else {
-        accumulate(words.data(), words.size(), hi.data(), lo.data());
-    }
-}
-
 } // namespace
 
 CompressedImage
@@ -147,15 +100,13 @@ compressWords(const std::vector<u32> &words, Addr text_base,
     u32 num_groups = img.paddedInsns / kGroupInsns;
     size_t num_blocks = size_t{num_groups} * kBlocksPerGroup;
 
-    unsigned threads = cfg.threads ? cfg.threads : defaultThreadCount();
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1 && num_blocks > 1)
-        pool = std::make_unique<ThreadPool>(threads);
-
-    // Phase 1: halfword frequencies over the (padded) text, reduced
-    // from per-chunk counters when a pool is available.
-    std::vector<u64> hi_arr, lo_arr;
-    histogramHalves(padded, pool.get(), hi_arr, lo_arr);
+    // Halfword frequencies over the (padded) text build the two
+    // dictionaries.
+    std::vector<u64> hi_arr(65536, 0), lo_arr(65536, 0);
+    for (u32 w : padded) {
+        ++hi_arr[w >> 16];
+        ++lo_arr[w & 0xffff];
+    }
     std::unordered_map<u16, u64> hi_counts, lo_counts;
     for (u32 v = 0; v < 65536; ++v) {
         if (hi_arr[v])
@@ -166,32 +117,10 @@ compressWords(const std::vector<u32> &words, Addr text_base,
     img.highDict = Dictionary::build(Dictionary::Kind::High, hi_counts);
     img.lowDict = Dictionary::build(Dictionary::Kind::Low, lo_counts);
 
-    // Phase 2: per-block encode. Blocks are independently indexed by
-    // construction (each starts byte-aligned and is located through the
-    // index table), so they encode in parallel; stitching below is the
-    // only order-dependent step, which keeps the output byte-identical
-    // to the serial path at any worker count.
-    std::vector<BlockBits> encoded(num_blocks);
-    auto encodeOne = [&](size_t b) {
-        encoded[b] = compressBlock(padded.data() + b * kBlockInsns,
-                                   img.highDict, img.lowDict,
-                                   cfg.allowRawBlocks);
-    };
-    if (pool)
-        pool->parallelFor(num_blocks, encodeOne);
-    else
-        for (size_t b = 0; b < num_blocks; ++b)
-            encodeOne(b);
-
-    // Phase 3 (serial): concatenate the blocks, build the index table
-    // and sum the Table 4 accounting in group order.
-    u64 stream_bytes = 0;
-    for (const BlockBits &bb : encoded)
-        stream_bytes += bb.bytes.size();
-    img.bytes.reserve(stream_bytes);
+    // Encode the blocks in order, building the index table and summing
+    // the Table 4 accounting as they are appended.
     img.indexTable.reserve(num_groups);
     img.blocks.reserve(num_blocks);
-
     for (u32 g = 0; g < num_groups; ++g) {
         u32 first_off = static_cast<u32>(img.bytes.size());
         cps_assert(first_off <= kIdxFirstOffsetMask,
@@ -201,8 +130,10 @@ compressWords(const std::vector<u32> &words, Addr text_base,
         bool flags[kBlocksPerGroup] = {};
         u32 lens[kBlocksPerGroup] = {};
         for (u32 b = 0; b < kBlocksPerGroup; ++b) {
-            BlockBits &bb =
-                encoded[size_t{g} * kBlocksPerGroup + b];
+            const BlockBits bb = compressBlock(
+                padded.data() +
+                    (size_t{g} * kBlocksPerGroup + b) * kBlockInsns,
+                img.highDict, img.lowDict, cfg.allowRawBlocks);
             BlockExtent ext;
             ext.byteOffset = static_cast<u32>(img.bytes.size());
             ext.byteLen = static_cast<u32>(bb.bytes.size());

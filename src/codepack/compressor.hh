@@ -29,15 +29,6 @@ struct CompressorConfig
      * it (the paper notes IBM's scheme does this; it is rare).
      */
     bool allowRawBlocks = true;
-
-    /**
-     * Worker threads for the two-phase parallel encode (per-chunk
-     * histogram reduction, then per-block compression); 0 means
-     * defaultThreadCount() (the CPS_THREADS policy). The output is
-     * byte-identical at every thread count: blocks are independently
-     * indexed, so only the serial stitching step orders bytes.
-     */
-    unsigned threads = 0;
 };
 
 /** Bit-level composition of the compressed region (paper Table 4). */

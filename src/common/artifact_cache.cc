@@ -33,6 +33,13 @@ ArtifactCache::ArtifactCache(std::string dir, bool enabled, u64 max_bytes)
         maintain();
 }
 
+std::string
+defaultCacheDir()
+{
+    const char *env = std::getenv("CPS_CACHE_DIR");
+    return env && *env != '\0' ? env : ".cps-cache";
+}
+
 const ArtifactCache &
 ArtifactCache::instance()
 {
@@ -40,13 +47,9 @@ ArtifactCache::instance()
         bool enabled = true;
         if (const char *env = std::getenv("CPS_ARTIFACT_CACHE"))
             enabled = std::string(env) != "0";
-        std::string dir = ".cps-cache";
-        if (const char *env = std::getenv("CPS_CACHE_DIR"))
-            if (*env != '\0')
-                dir = env;
         u64 max_bytes = envUnsigned("CPS_CACHE_MAX_BYTES", 0, 0,
                                     UINT64_MAX, "a byte count");
-        return ArtifactCache(dir, enabled, max_bytes);
+        return ArtifactCache(defaultCacheDir(), enabled, max_bytes);
     }();
     return cache;
 }

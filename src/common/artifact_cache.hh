@@ -52,6 +52,13 @@
 namespace cps
 {
 
+/**
+ * The cache directory: CPS_CACHE_DIR when set and non-empty, else
+ * ".cps-cache" under the working directory. Matrix journals live there
+ * too, whether or not CPS_ARTIFACT_CACHE disables the artifacts.
+ */
+std::string defaultCacheDir();
+
 /** A directory of verified, atomically published cache entries. */
 class ArtifactCache
 {

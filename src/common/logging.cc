@@ -122,22 +122,41 @@ envWarnOnce(const char *name, const char *value, const char *expected)
              expected);
 }
 
+std::optional<u64>
+parseUnsigned(const char *text, u64 lo, u64 hi, int base)
+{
+    // strtoull alone would skip leading blanks and wrap a '-' sign.
+    if (*text < '0' || *text > '9')
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, base);
+    if (errno != 0 || *end != '\0' || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
 u64
 envUnsigned(const char *name, u64 dflt, u64 lo, u64 hi, const char *expected)
 {
     const char *env = std::getenv(name);
     if (!env)
         return dflt;
-    // strtoull alone would skip leading blanks and wrap a '-' sign.
-    if (*env >= '0' && *env <= '9') {
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (errno == 0 && *end == '\0' && v >= lo && v <= hi)
-            return v;
-    }
+    if (std::optional<u64> v = parseUnsigned(env, lo, hi))
+        return *v;
     envWarnOnce(name, env, expected);
     return dflt;
+}
+
+u64
+argUnsigned(const char *flag, const char *text, u64 lo, u64 hi, int base)
+{
+    std::optional<u64> v = parseUnsigned(text, lo, hi, base);
+    if (!v)
+        cps_fatal("option '%s' wants an integer in [%llu, %llu], got '%s'",
+                  flag, static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi), text);
+    return *v;
 }
 
 void

@@ -15,6 +15,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "types.hh"
@@ -53,14 +54,28 @@ void envWarnOnce(const char *name, const char *value,
                  const char *expected);
 
 /**
- * Reads environment knob @p name as a decimal integer in [@p lo, @p hi].
- * Unset returns @p dflt silently. Anything else that is not all digits
- * (empty, signed, trailing junk such as "1e3"), overflows, or falls
- * outside the range returns @p dflt after one envWarnOnce naming
- * @p expected.
+ * Parses @p text as an unsigned integer in [@p lo, @p hi]. Returns
+ * nullopt when it is not all digits (empty, signed, leading blanks,
+ * trailing junk such as "1e3"), overflows, or falls outside the range.
+ * @param base 10, or 0 to also accept 0x-prefixed hex (strtoull's rule)
+ */
+std::optional<u64> parseUnsigned(const char *text, u64 lo, u64 hi,
+                                 int base = 10);
+
+/**
+ * Reads environment knob @p name through parseUnsigned. Unset returns
+ * @p dflt silently; a value parseUnsigned rejects returns @p dflt after
+ * one envWarnOnce naming @p expected.
  */
 u64 envUnsigned(const char *name, u64 dflt, u64 lo, u64 hi,
                 const char *expected);
+
+/**
+ * Reads the value of command-line option @p flag through
+ * parseUnsigned; a value it rejects is a usage error (fatal, exit 1).
+ */
+u64 argUnsigned(const char *flag, const char *text, u64 lo, u64 hi,
+                int base = 10);
 
 /** Silence warn()/inform() output (counters still advance). */
 void setQuiet(bool quiet);

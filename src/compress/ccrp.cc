@@ -1,11 +1,7 @@
 #include "ccrp.hh"
 
-#include <algorithm>
-#include <memory>
-
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/threadpool.hh"
 #include "isa/isa.hh"
 
 namespace cps
@@ -13,21 +9,8 @@ namespace cps
 namespace compress
 {
 
-namespace
-{
-
-/** One independently encoded I-cache line (byte-aligned by format). */
-struct LineBits
-{
-    std::vector<u8> bytes;
-    std::array<u32, 8> ends{}; ///< per-insn end, relative to line start
-};
-
-} // namespace
-
 CcrpImage
-CcrpImage::compress(const std::vector<u32> &words, Addr text_base,
-                    unsigned threads)
+CcrpImage::compress(const std::vector<u32> &words, Addr text_base)
 {
     CcrpImage img;
     img.textBase_ = text_base;
@@ -39,92 +22,41 @@ CcrpImage::compress(const std::vector<u32> &words, Addr text_base,
         padded.push_back(kNopWord);
 
     u32 num_lines = static_cast<u32>(padded.size() / 8);
-    if (threads == 0)
-        threads = defaultThreadCount();
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1 && num_lines > 1)
-        pool = std::make_unique<ThreadPool>(threads);
 
-    // Pass 1: byte frequencies over the padded text — per-chunk private
-    // counters summed in chunk order when a pool is available, which
-    // reproduces the serial totals exactly (addition commutes).
+    // Pass 1: byte frequencies over the padded text.
     std::array<u64, 256> counts{};
-    size_t chunks = pool ? std::min<size_t>(pool->size(), 16) : 1;
-    if (chunks > 1 && padded.size() >= 4096) {
-        std::vector<std::array<u64, 256>> parts(chunks);
-        size_t per = (padded.size() + chunks - 1) / chunks;
-        pool->parallelFor(chunks, [&](size_t c) {
-            std::array<u64, 256> &p = parts[c];
-            p.fill(0);
-            size_t begin = c * per;
-            size_t end = std::min(padded.size(), begin + per);
-            for (size_t i = begin; i < end; ++i) {
-                u32 w = padded[i];
-                ++p[w & 0xff];
-                ++p[(w >> 8) & 0xff];
-                ++p[(w >> 16) & 0xff];
-                ++p[(w >> 24) & 0xff];
-            }
-        });
-        for (const std::array<u64, 256> &p : parts)
-            for (unsigned s = 0; s < 256; ++s)
-                counts[s] += p[s];
-    } else {
-        for (u32 w : padded) {
-            ++counts[w & 0xff];
-            ++counts[(w >> 8) & 0xff];
-            ++counts[(w >> 16) & 0xff];
-            ++counts[(w >> 24) & 0xff];
-        }
+    for (u32 w : padded) {
+        ++counts[w & 0xff];
+        ++counts[(w >> 8) & 0xff];
+        ++counts[(w >> 16) & 0xff];
+        ++counts[(w >> 24) & 0xff];
     }
     img.code_ = HuffmanCode::build(counts);
 
     // Pass 2: encode line by line. Every line starts byte-aligned (the
-    // LAT addresses lines by byte offset), so each encodes into its own
-    // writer — in parallel — and serial concatenation reproduces the
-    // single-writer stream byte for byte. Per-insn end offsets are
-    // recorded line-relative and rebased during stitching.
-    std::vector<LineBits> lines(num_lines);
-    auto encodeLine = [&](size_t line) {
-        LineBits &lb = lines[line];
-        BitWriter bw;
-        // Worst case is 16-bit codes for all 32 bytes of the line.
-        bw.reserve(8 * 4 * 2);
+    // LAT addresses lines by byte offset). The histogram bounds the
+    // stream size exactly, so one reservation covers it (alignment
+    // padding adds at most 7 bits per line).
+    BitWriter bw;
+    bw.reserve(static_cast<size_t>(
+        (img.code_.streamBits(counts) + u64{num_lines} * 7) / 8 + 1));
+    img.lineOffsets_.reserve(num_lines);
+    img.insnEnds_.reserve(num_lines);
+    for (u32 line = 0; line < num_lines; ++line) {
+        img.lineOffsets_.push_back(static_cast<u32>(bw.byteSize()));
+        std::array<u32, 8> ends{};
         for (unsigned i = 0; i < 8; ++i) {
             u32 w = padded[line * 8 + i];
             img.code_.encode(bw, static_cast<u8>(w));
             img.code_.encode(bw, static_cast<u8>(w >> 8));
             img.code_.encode(bw, static_cast<u8>(w >> 16));
             img.code_.encode(bw, static_cast<u8>(w >> 24));
-            lb.ends[i] = static_cast<u32>((bw.bitSize() + 7) / 8);
+            ends[i] = static_cast<u32>((bw.bitSize() + 7) / 8);
         }
-        bw.alignByte();
-        lb.bytes = bw.take();
-    };
-    if (pool)
-        pool->parallelFor(num_lines, encodeLine);
-    else
-        for (u32 line = 0; line < num_lines; ++line)
-            encodeLine(line);
-
-    // Stitch (serial): the histogram bounds the stream size exactly, so
-    // one reservation covers the whole concatenation (alignment padding
-    // adds at most 7 bits per line).
-    img.lineOffsets_.reserve(num_lines);
-    img.insnEnds_.reserve(num_lines);
-    img.bytes_.reserve(static_cast<size_t>(
-        (img.code_.streamBits(counts) + u64{num_lines} * 7) / 8 + 1));
-    for (u32 line = 0; line < num_lines; ++line) {
-        const LineBits &lb = lines[line];
-        u32 off = static_cast<u32>(img.bytes_.size());
-        img.lineOffsets_.push_back(off);
-        std::array<u32, 8> ends = lb.ends;
-        for (u32 &e : ends)
-            e += off;
         img.insnEnds_.push_back(ends);
-        img.bytes_.insert(img.bytes_.end(), lb.bytes.begin(),
-                          lb.bytes.end());
+        bw.alignByte();
     }
+    img.bytes_ = bw.take();
     return img;
 }
 

@@ -29,16 +29,9 @@ namespace compress
 class CcrpImage : public LineCodec
 {
   public:
-    /**
-     * Compresses @p words (the .text) at native base @p text_base.
-     * @param threads workers for the two-phase parallel encode
-     *        (per-chunk byte histogram, then per-line Huffman); 0 means
-     *        defaultThreadCount(). Output is byte-identical at every
-     *        thread count — lines are byte-aligned and independently
-     *        addressed, so only the serial stitch orders bytes.
-     */
+    /** Compresses @p words (the .text) at native base @p text_base. */
     static CcrpImage compress(const std::vector<u32> &words,
-                              Addr text_base, unsigned threads = 0);
+                              Addr text_base);
 
     /** Decompresses everything (round-trip testing). */
     std::vector<u32> decompressAll() const;

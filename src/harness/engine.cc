@@ -1,11 +1,12 @@
 #include "engine.hh"
 
 #include <atomic>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <unistd.h>
 
+#include "common/artifact_cache.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
 #include "journal.hh"
@@ -28,13 +29,11 @@ namespace
 long
 testExitAfterCells()
 {
-    static const long cached = [] {
-        const char *env = std::getenv("CPS_TEST_EXIT_AFTER_CELLS");
-        if (!env)
-            return -1L;
-        return std::atol(env);
-    }();
-    return cached;
+    // Unset (or malformed) means never: the sentinel is out of range.
+    constexpr u64 kNever = UINT64_MAX;
+    const u64 n = envUnsigned("CPS_TEST_EXIT_AFTER_CELLS", kNever, 0,
+                              LONG_MAX, "an unsigned integer");
+    return n == kNever ? -1 : static_cast<long>(n);
 }
 
 constexpr int kTestExitCode = 42;
@@ -45,7 +44,7 @@ std::vector<CellOutcome>
 runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
 {
     for (const RunRequest &r : requests)
-        cps_assert(r.bench != nullptr, "runMatrix request without bench");
+        cps_assert(r.bench != nullptr, "runMatrixCells request without bench");
 
     std::vector<CellOutcome> cells(requests.size());
     if (requests.empty())
@@ -60,7 +59,7 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
     std::unique_ptr<MatrixJournal> journal;
     if (resumeEnabled()) {
         journal = std::make_unique<MatrixJournal>(
-            journalDir(), matrixKey(requests), requests.size());
+            defaultCacheDir(), matrixKey(requests), requests.size());
         std::vector<std::optional<RunOutcome>> replayed =
             journal->load(requests);
         for (size_t i = 0; i < requests.size(); ++i) {
@@ -107,16 +106,6 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
             journal->compact(requests);
     }
     return cells;
-}
-
-std::vector<RunOutcome>
-runMatrix(const std::vector<RunRequest> &requests, unsigned threads)
-{
-    std::vector<CellOutcome> cells = runMatrixCells(requests, threads);
-    std::vector<RunOutcome> outcomes(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i)
-        outcomes[i] = std::move(cells[i].outcome);
-    return outcomes;
 }
 
 int

@@ -58,15 +58,6 @@ resumeEnabled()
     return cached;
 }
 
-std::string
-journalDir()
-{
-    if (const char *env = std::getenv("CPS_CACHE_DIR"))
-        if (*env != '\0')
-            return env;
-    return ".cps-cache";
-}
-
 MatrixJournal::MatrixJournal(std::string dir, std::string matrix_key,
                              size_t num_cells)
     : dir_(std::move(dir)), matrixKey_(std::move(matrix_key)),

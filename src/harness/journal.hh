@@ -38,10 +38,6 @@ namespace harness
 /** Whether matrix journaling/resume is enabled (CPS_RESUME=1). */
 bool resumeEnabled();
 
-/** The journal directory: CPS_CACHE_DIR or ".cps-cache" (shared with
- *  the artifact cache, but independent of CPS_ARTIFACT_CACHE). */
-std::string journalDir();
-
 /** One matrix's append-only completion journal. */
 class MatrixJournal
 {

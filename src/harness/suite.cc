@@ -48,9 +48,7 @@ benchImageKey(const BenchmarkProfile &p,
               const codepack::CompressorConfig &cfg)
 {
     // cpi2 = the .cpi container version; enc1 = the encoder revision
-    // (dictionaries + block format). Thread count is deliberately NOT
-    // part of the key: the parallel encoder is byte-identical to the
-    // serial one.
+    // (dictionaries + block format).
     return strfmt("cpi2;enc1;compressor=codepack;raw=%d;",
                   cfg.allowRawBlocks ? 1 : 0) +
            benchProgramKey(p);
@@ -146,10 +144,9 @@ Suite::get(const std::string &name)
 }
 
 void
-Suite::pregenerate(unsigned threads)
+Suite::pregenerate()
 {
-    if (threads == 0)
-        threads = defaultThreadCount();
+    const unsigned threads = defaultThreadCount();
     if (threads <= 1 || names_.size() <= 1) {
         for (const std::string &name : names_)
             get(name);

@@ -62,9 +62,8 @@ class Suite
      * Table binaries that touch the whole suite call this once up
      * front. With a warm artifact cache the builds load verified
      * images/traces from disk instead of recomputing.
-     * @param threads worker count; 0 means defaultThreadCount()
      */
-    void pregenerate(unsigned threads = 0);
+    void pregenerate();
 
     /**
      * Dynamic instructions per timing run. Defaults to 1,000,000;

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/artifact_cache.hh"
 #include "common/byteio.hh"
 #include "common/logging.hh"
 
@@ -69,7 +70,7 @@ ServiceConfig::fromEnv()
                                               : static_cast<long>(exit_after);
     cfg.runner = harness::CellRunnerConfig::fromEnv();
     cfg.resume = harness::resumeEnabled();
-    cfg.cacheDir = harness::journalDir();
+    cfg.cacheDir = defaultCacheDir();
     return cfg;
 }
 
@@ -699,7 +700,7 @@ CampaignServer::handleMatrixRequest(Client &c, const IpcFrame &frame)
     std::vector<std::optional<RunOutcome>> replayed(n);
     if (cfg_.resume) {
         journal = std::make_unique<harness::MatrixJournal>(
-            cfg_.cacheDir.empty() ? harness::journalDir()
+            cfg_.cacheDir.empty() ? defaultCacheDir()
                                   : cfg_.cacheDir,
             harness::matrixKey(reqs), n);
         replayed = journal->load(reqs);

@@ -93,7 +93,7 @@ struct ServiceConfig
      */
     harness::CellRunnerConfig runner;
     bool resume = false;  ///< journal/replay matrices on disk
-    std::string cacheDir; ///< journal dir; "" = harness::journalDir()
+    std::string cacheDir; ///< journal dir; "" = defaultCacheDir()
     /**
      * Test hook mirroring the engine's CPS_TEST_EXIT_AFTER_CELLS
      * (CPS_TEST_SERVE_EXIT_AFTER_CELLS): _exit(42) immediately after

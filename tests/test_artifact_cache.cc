@@ -2,9 +2,8 @@
  * @file
  * Artifact-cache contract tests: hit/miss/round-trip, corrupt-entry
  * fallback (a damaged cache may cost recompute time, never output),
- * key sensitivity to every pregeneration input, concurrent same-key
- * writers, and byte-identity of the parallel compressors against the
- * serial reference at CPS_THREADS-style worker counts 1 and 8.
+ * key sensitivity to every pregeneration input, and concurrent
+ * same-key writers.
  */
 
 #include <chrono>
@@ -17,7 +16,6 @@
 #include "codepack/imagefile.hh"
 #include "common/artifact_cache.hh"
 #include "common/byteio.hh"
-#include "compress/ccrp.hh"
 #include "harness/suite.hh"
 #include "progen/progen.hh"
 
@@ -207,12 +205,6 @@ TEST(ArtifactCache, KeySensitivity)
     no_raw.allowRawBlocks = false;
     EXPECT_NE(benchImageKey(p, no_raw), img_key);
 
-    // ... but the worker count must NOT (parallel output is
-    // byte-identical, so cached images are shared across CPS_THREADS).
-    codepack::CompressorConfig threaded;
-    threaded.threads = 8;
-    EXPECT_EQ(benchImageKey(p, threaded), img_key);
-
     // Trace cap is part of the trace key.
     EXPECT_NE(benchTraceKey(p, 2000), trace_key);
 
@@ -285,56 +277,6 @@ TEST(TraceIo, RoundTripAndCorruptionRejected)
 
     std::vector<u8> truncated(bytes.begin(), bytes.begin() + 10);
     EXPECT_FALSE(decodeTraceChecked(truncated).ok());
-}
-
-TEST(ParallelCompressors, CodePackByteIdenticalAcrossThreadCounts)
-{
-    Program prog = generateProgram(tinyProfile());
-
-    codepack::CompressorConfig serial_cfg;
-    serial_cfg.threads = 1; // the serial reference (CPS_THREADS=1)
-    codepack::CompressedImage serial =
-        codepack::compress(prog, serial_cfg);
-    std::vector<u8> serial_bytes = codepack::encodeImage(serial);
-
-    for (unsigned threads : {2u, 8u}) {
-        codepack::CompressorConfig cfg;
-        cfg.threads = threads; // CPS_THREADS=8-style worker count
-        codepack::CompressedImage parallel =
-            codepack::compress(prog, cfg);
-        EXPECT_EQ(codepack::encodeImage(parallel), serial_bytes)
-            << "CodePack image differs at " << threads << " threads";
-    }
-}
-
-TEST(ParallelCompressors, CcrpByteIdenticalAcrossThreadCounts)
-{
-    Program prog = generateProgram(tinyProfile());
-    std::vector<u32> words;
-    for (size_t i = 0; i < prog.textWords(); ++i)
-        words.push_back(prog.word(i));
-
-    compress::CcrpImage serial =
-        compress::CcrpImage::compress(words, prog.text.base, 1);
-    for (unsigned threads : {2u, 8u}) {
-        compress::CcrpImage parallel =
-            compress::CcrpImage::compress(words, prog.text.base,
-                                          threads);
-        ASSERT_EQ(parallel.numLines(), serial.numLines());
-        EXPECT_EQ(parallel.streamBits(), serial.streamBits());
-        bool lines_equal = true;
-        for (u32 line = 0; line < serial.numLines(); ++line) {
-            compress::LineExtent a = serial.extent(line);
-            compress::LineExtent b = parallel.extent(line);
-            lines_equal = lines_equal && a.byteOffset == b.byteOffset &&
-                          a.byteLen == b.byteLen &&
-                          serial.insnEndBytes(line) ==
-                              parallel.insnEndBytes(line);
-        }
-        EXPECT_TRUE(lines_equal)
-            << "CCRP lines differ at " << threads << " threads";
-        EXPECT_EQ(parallel.decompressAll(), serial.decompressAll());
-    }
 }
 
 TEST(ArtifactCache, BenchBuildColdWarmAndCorruptAreIdentical)

@@ -414,6 +414,25 @@ TEST(CellRunner, WorkerDiesWithItsParent)
     EXPECT_TRUE(eof) << "worker " << worker << " outlived its parent";
 }
 
+TEST(CellRunner, MalformedExitAfterCellsHookMeansNever)
+{
+    // CPS_TEST_EXIT_AFTER_CELLS=abc is malformed, not zero: a matrix
+    // must run to completion instead of exiting 42 after its first cell.
+    RunRequest req = benchRequest();
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ::setenv("CPS_TEST_EXIT_AFTER_CELLS", "abc", 1);
+        std::vector<harness::CellOutcome> out =
+            harness::runMatrixCells({req}, 1);
+        ::_exit(out.size() == 1 && out[0].status.ok() ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 TEST(CellRunner, SlowWorkerInsideTheDeadlineIsNotATimeout)
 {
     // A worker that delivers late-but-in-time must produce a result
@@ -504,7 +523,7 @@ TEST(MatrixResilience, FaultyCellsDegradeToPlaceholdersOthersSurvive)
     harness::Matrix healthy;
     healthy.add(benchRequest("pegwit"));
     healthy.add(benchRequest("go"));
-    healthy.run(2);
+    healthy.run();
     ASSERT_TRUE(healthy.cell(0).status.ok());
     ASSERT_TRUE(healthy.cell(1).status.ok());
 
@@ -515,7 +534,7 @@ TEST(MatrixResilience, FaultyCellsDegradeToPlaceholdersOthersSurvive)
     m.add(benchRequest("pegwit", CellFault::Crash));
     m.add(benchRequest("go"));
     m.add(benchRequest("go", CellFault::Hang));
-    m.run(4);
+    m.run();
 
     EXPECT_TRUE(m.cell(0).status.ok());
     EXPECT_EQ(m.cell(1).status.state, CellState::Crashed);

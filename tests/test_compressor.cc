@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "codepack/decompressor.hh"
@@ -276,28 +275,6 @@ TEST(Compressor, DeterministicAcrossRuns)
     CompressedImage b = compressWords(words, kTextBase);
     EXPECT_EQ(a.bytes, b.bytes);
     EXPECT_EQ(a.indexTable, b.indexTable);
-}
-
-TEST(Compressor, ByteIdenticalAcrossThreadCounts)
-{
-    // Compressed images must be byte-for-byte the serial reference at
-    // any thread count. A mixed program exercises the histogram,
-    // dictionary match, zero-special and raw-escape paths together.
-    auto words = repetitiveProgram(700, 21);
-    Rng rng(22);
-    for (size_t i = 0; i < words.size(); i += 9)
-        words[i] = static_cast<u32>(rng.next()); // sprinkle raw escapes
-    CompressorConfig ref_cfg;
-    ref_cfg.threads = 1;
-    CompressedImage ref = compressWords(words, kTextBase, ref_cfg);
-    for (unsigned threads : {2u, 8u}) {
-        CompressorConfig cfg;
-        cfg.threads = threads;
-        CompressedImage img = compressWords(words, kTextBase, cfg);
-        EXPECT_EQ(img.bytes, ref.bytes) << "threads=" << threads;
-        EXPECT_EQ(img.indexTable, ref.indexTable) << "threads=" << threads;
-        EXPECT_EQ(img.comp.totalBits(), ref.comp.totalBits());
-    }
 }
 
 TEST(Compressor, AllNopsCompressExtremelyWell)

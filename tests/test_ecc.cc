@@ -98,6 +98,33 @@ TEST(EnvWarnOnce, EnvUnsignedAcceptsValidValue)
     EXPECT_EQ(warnCount(), before);
 }
 
+TEST(ParseUnsigned, AcceptsDigitsInRange)
+{
+    EXPECT_EQ(parseUnsigned("0", 0, 10), std::optional<u64>(0));
+    EXPECT_EQ(parseUnsigned("10", 0, 10), std::optional<u64>(10));
+    EXPECT_EQ(parseUnsigned("18446744073709551615", 0, UINT64_MAX),
+              std::optional<u64>(UINT64_MAX));
+}
+
+TEST(ParseUnsigned, RejectsMalformedOverflowAndOutOfRange)
+{
+    for (const char *bad : {"", "abc", "-1", "+1", " 5", "5 ", "1e3", "12x",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseUnsigned(bad, 0, UINT64_MAX)) << "'" << bad << "'";
+    EXPECT_FALSE(parseUnsigned("0", 1, 10));
+    EXPECT_FALSE(parseUnsigned("11", 1, 10));
+}
+
+TEST(ParseUnsigned, HexOnlyWithBaseZero)
+{
+    EXPECT_EQ(parseUnsigned("0x1f", 0, UINT64_MAX, 0),
+              std::optional<u64>(31));
+    EXPECT_EQ(parseUnsigned("42", 0, UINT64_MAX, 0), std::optional<u64>(42));
+    EXPECT_FALSE(parseUnsigned("0x1f", 0, UINT64_MAX));
+    EXPECT_FALSE(parseUnsigned("0x1fz", 0, UINT64_MAX, 0));
+    EXPECT_FALSE(parseUnsigned("0x", 0, UINT64_MAX, 0));
+}
+
 TEST(Crc, KnownVectors)
 {
     // CRC-8 poly 0x07 of "123456789" is 0xF4; CRC-16/CCITT-FALSE of the

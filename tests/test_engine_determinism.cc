@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel experiment engine tests: runMatrix must return outcomes in
+ * Parallel experiment engine tests: runMatrixCells must return outcomes in
  * submission order and bit-identically to the serial path no matter how
  * many workers execute the runs — that is the contract that lets every
  * table binary fan out across cores and still print byte-identical
@@ -43,50 +43,54 @@ smallMatrix()
 }
 
 void
-expectSameOutcomes(const std::vector<RunOutcome> &a,
-                   const std::vector<RunOutcome> &b)
+expectSameOutcomes(const std::vector<harness::CellOutcome> &cells_a,
+                   const std::vector<harness::CellOutcome> &cells_b)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].result.cycles, b[i].result.cycles) << "slot " << i;
-        EXPECT_EQ(a[i].result.instructions, b[i].result.instructions);
-        EXPECT_EQ(a[i].result.programExited, b[i].result.programExited);
-        EXPECT_EQ(a[i].icacheMisses, b[i].icacheMisses) << "slot " << i;
-        EXPECT_EQ(a[i].bufferHits, b[i].bufferHits) << "slot " << i;
-        EXPECT_EQ(a[i].missLatencyTotal, b[i].missLatencyTotal);
-        EXPECT_DOUBLE_EQ(a[i].icacheMissRate, b[i].icacheMissRate);
-        EXPECT_DOUBLE_EQ(a[i].indexCacheMissRate, b[i].indexCacheMissRate);
+    ASSERT_EQ(cells_a.size(), cells_b.size());
+    for (size_t i = 0; i < cells_a.size(); ++i) {
+        ASSERT_TRUE(cells_a[i].status.ok()) << "slot " << i;
+        ASSERT_TRUE(cells_b[i].status.ok()) << "slot " << i;
+        const RunOutcome &a = cells_a[i].outcome;
+        const RunOutcome &b = cells_b[i].outcome;
+        EXPECT_EQ(a.result.cycles, b.result.cycles) << "slot " << i;
+        EXPECT_EQ(a.result.instructions, b.result.instructions);
+        EXPECT_EQ(a.result.programExited, b.result.programExited);
+        EXPECT_EQ(a.icacheMisses, b.icacheMisses) << "slot " << i;
+        EXPECT_EQ(a.bufferHits, b.bufferHits) << "slot " << i;
+        EXPECT_EQ(a.missLatencyTotal, b.missLatencyTotal);
+        EXPECT_DOUBLE_EQ(a.icacheMissRate, b.icacheMissRate);
+        EXPECT_DOUBLE_EQ(a.indexCacheMissRate, b.indexCacheMissRate);
     }
 }
 
 TEST(RunMatrix, ParallelOutcomesMatchSerialExactly)
 {
     std::vector<harness::RunRequest> reqs = smallMatrix();
-    std::vector<RunOutcome> serial = harness::runMatrix(reqs, 1);
-    std::vector<RunOutcome> parallel = harness::runMatrix(reqs, 8);
-    expectSameOutcomes(serial, parallel);
+    expectSameOutcomes(harness::runMatrixCells(reqs, 1),
+                       harness::runMatrixCells(reqs, 8));
 }
 
 TEST(RunMatrix, RepeatedParallelRunsAreDeterministic)
 {
     std::vector<harness::RunRequest> reqs = smallMatrix();
-    std::vector<RunOutcome> first = harness::runMatrix(reqs, 8);
-    std::vector<RunOutcome> second = harness::runMatrix(reqs, 8);
-    expectSameOutcomes(first, second);
+    expectSameOutcomes(harness::runMatrixCells(reqs, 8),
+                       harness::runMatrixCells(reqs, 8));
 }
 
 TEST(RunMatrix, RendersByteIdenticalTables)
 {
     std::vector<harness::RunRequest> reqs = smallMatrix();
     auto render = [&](unsigned threads) {
-        std::vector<RunOutcome> out = harness::runMatrix(reqs, threads);
+        std::vector<harness::CellOutcome> cells =
+            harness::runMatrixCells(reqs, threads);
         TextTable t;
         t.addHeader({"Slot", "Cycles", "IPC", "Miss rate"});
-        for (size_t i = 0; i < out.size(); ++i)
-            t.addRow({std::to_string(i),
-                      std::to_string(out[i].result.cycles),
-                      TextTable::fmt(out[i].result.ipc(), 3),
-                      TextTable::pct(out[i].icacheMissRate)});
+        for (size_t i = 0; i < cells.size(); ++i) {
+            const RunOutcome &out = cells[i].outcome;
+            t.addRow({std::to_string(i), std::to_string(out.result.cycles),
+                      TextTable::fmt(out.result.ipc(), 3),
+                      TextTable::pct(out.icacheMissRate)});
+        }
         return t.render();
     };
     EXPECT_EQ(render(1), render(8));
@@ -95,7 +99,7 @@ TEST(RunMatrix, RendersByteIdenticalTables)
 TEST(RunMatrix, EmptyMatrixIsFine)
 {
     std::vector<harness::RunRequest> reqs;
-    EXPECT_TRUE(harness::runMatrix(reqs, 4).empty());
+    EXPECT_TRUE(harness::runMatrixCells(reqs, 4).empty());
 }
 
 TEST(MatrixHelper, CursorHandsBackSubmissionOrder)
@@ -109,7 +113,7 @@ TEST(MatrixHelper, CursorHandsBackSubmissionOrder)
     EXPECT_EQ(s0, 0u);
     EXPECT_EQ(s1, 1u);
     EXPECT_EQ(m.size(), 2u);
-    m.run(4);
+    m.run();
 
     const RunOutcome &native = m.next();
     const RunOutcome &cp = m.next();
