@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "asmkit/assembler.hh"
+#include "common/artifact_cache.hh"
 #include "pipeline/inorder.hh"
 #include "pipeline/ooo.hh"
 #include "sim/machine.hh"
@@ -466,6 +470,270 @@ TEST(OoO, CyclesAreDeterministic)
     std::string src = unrolledDependentAdds(500);
     TimedEnv a(src), b(src);
     EXPECT_EQ(a.runOoO().cycles, b.runOoO().cycles);
+}
+
+// ------------------------------------------------------- OoO cycle pins
+
+/** Hand-built OoO kernels, each aimed at one scheduler mechanism. */
+std::vector<std::pair<std::string, std::string>>
+oooKernels()
+{
+    std::vector<std::pair<std::string, std::string>> k;
+
+    // Dependent divides on the one non-pipelined unit, with independent
+    // divides and adds that must wait for the unit, not the chain.
+    std::string div = "main:\n li $t0, 100000\n li $t1, 3\n li $t8, 30\n"
+                      "loop:\n";
+    for (int i = 0; i < 6; ++i) {
+        div += " div $t0, $t0, $t1\n";
+        div += strfmt(" div $t%d, $t1, $t1\n", 2 + i % 4);
+        div += strfmt(" addu $t6, $t%d, $t0\n", 2 + i % 4);
+    }
+    div += " addiu $t0, $t0, 99999\n addiu $t8, $t8, -1\n"
+           " bgtz $t8, loop\n li $v0, 10\n syscall\n";
+    k.emplace_back("div_chain", div);
+
+    // Independent multiplies share the pipelined unit; a dependent
+    // multiply chain runs beside them.
+    std::string mul = "main:\n li $t0, 7\n li $t1, 3\n li $s0, 1\n"
+                      " li $t8, 40\nloop:\n";
+    for (int i = 0; i < 12; ++i) {
+        mul += strfmt(" mul $t%d, $t0, $t1\n", 2 + i % 6);
+        if (i % 3 == 0)
+            mul += " mul $s0, $s0, $t1\n";
+    }
+    mul += " addiu $t8, $t8, -1\n bgtz $t8, loop\n li $v0, 10\n"
+           " syscall\n";
+    k.emplace_back("mul_pipe", mul);
+
+    // Stores then loads to the same words: a load must wait for the
+    // youngest older store to its word, not an older one or another
+    // word; the stored data comes from a slow divide.
+    std::string sl = "main:\n la $t9, buf\n li $t1, 3\n li $t8, 60\n"
+                     "loop:\n div $t0, $t8, $t1\n";
+    sl += " sw $t8, 0($t9)\n sw $t0, 0($t9)\n sw $t1, 4($t9)\n"
+          " lw $t2, 0($t9)\n lw $t3, 4($t9)\n lw $t4, 8($t9)\n"
+          " addu $t5, $t2, $t3\n sw $t5, 8($t9)\n lw $t6, 8($t9)\n"
+          " addu $t7, $t6, $t4\n sw $t7, 12($t9)\n"
+          " addiu $t9, $t9, 4\n"
+          " addiu $t8, $t8, -1\n bgtz $t8, loop\n li $v0, 10\n syscall\n"
+          ".data\nbuf: .space 1024\n";
+    k.emplace_back("store_load", sl);
+
+    // Data-dependent branches from an xorshift, an indirect jump
+    // through a table and calls/returns: direction, target and RAS
+    // mispredicts, each followed down its wrong path.
+    std::string mp = R"(
+main:
+    li $s0, 2463534242
+    li $s7, 300
+    la $s6, table
+loop:
+    sll $t0, $s0, 13
+    xor $s0, $s0, $t0
+    srl $t0, $s0, 17
+    xor $s0, $s0, $t0
+    sll $t0, $s0, 5
+    xor $s0, $s0, $t0
+    andi $t1, $s0, 1
+    beq $t1, $zero, skip
+    addiu $s1, $s1, 1
+    addiu $s2, $s2, 3
+skip:
+    andi $t2, $s0, 12
+    addu $t3, $s6, $t2
+    lw $t4, 0($t3)
+    jalr $t4
+    andi $t5, $s0, 64
+    bne $t5, $zero, odd
+    jal leaf
+odd:
+    addiu $s7, $s7, -1
+    bgtz $s7, loop
+    li $v0, 10
+    syscall
+f0:
+    addiu $s3, $s3, 1
+    jr $ra
+f1:
+    addiu $s3, $s3, 2
+    jr $ra
+f2:
+    mul $s4, $s3, $s3
+    jr $ra
+f3:
+    div $s5, $s0, $s7
+    jr $ra
+leaf:
+    addiu $s4, $s4, 1
+    jr $ra
+.data
+table: .word f0, f1, f2, f3
+)";
+    k.emplace_back("mispredict", mp);
+
+    // Serialising syscalls between bursts of independent work.
+    std::string sc = "main:\n li $t8, 40\nloop:\n";
+    for (int i = 0; i < 6; ++i)
+        sc += strfmt(" addiu $t%d, $t8, %d\n", i, i);
+    sc += " li $v0, 11\n li $a0, 65\n syscall\n"
+          " div $t6, $t8, $t0\n li $v0, 1\n move $a0, $t6\n syscall\n"
+          " addiu $t8, $t8, -1\n bgtz $t8, loop\n li $v0, 10\n syscall\n";
+    k.emplace_back("syscalls", sc);
+
+    // More memory ops in flight than any LSQ holds: loads to distinct
+    // cold D-cache lines and stores between them.
+    std::string lsq = "main:\n la $t9, buf\n li $t8, 6\nloop:\n";
+    for (int i = 0; i < 96; ++i) {
+        if (i % 4 == 3)
+            lsq += strfmt(" sw $t8, %d($t9)\n", i * 64);
+        else
+            lsq += strfmt(" lw $t%d, %d($t9)\n", i % 8, i * 64);
+    }
+    lsq += " addiu $t8, $t8, -1\n bgtz $t8, loop\n li $v0, 10\n"
+           " syscall\n.data\nbuf: .space 8192\n";
+    k.emplace_back("full_lsq", lsq);
+
+    // FP add, multiply, divide and convert units, with an FP compare
+    // feeding a branch.
+    std::string fp = R"(
+main:
+    li $t0, 3
+    mtc1 $t0, $f1
+    cvt.s.w $f1, $f1
+    li $t0, 7
+    mtc1 $t0, $f2
+    cvt.s.w $f2, $f2
+    li $t8, 40
+loop:
+    mul.s $f3, $f1, $f2
+    mul.s $f4, $f1, $f1
+    div.s $f5, $f2, $f1
+    add.s $f6, $f3, $f4
+    sub.s $f7, $f6, $f5
+    div.s $f8, $f7, $f2
+    add.s $f9, $f1, $f2
+    add.s $f10, $f9, $f9
+    cvt.w.s $f11, $f10
+    mfc1 $t1, $f11
+    c.lt.s $f5, $f3
+    bc1t taken
+    addiu $t2, $t2, 1
+taken:
+    addu $t3, $t3, $t1
+    addiu $t8, $t8, -1
+    bgtz $t8, loop
+    li $v0, 10
+    syscall
+)";
+    k.emplace_back("fp_units", fp);
+    return k;
+}
+
+/** Machines the kernels run on: Table 2's two OoO cores plus two
+ *  RUU sizes that are not powers of two. */
+std::vector<std::pair<std::string, MachineConfig>>
+oooPinMachines()
+{
+    std::vector<std::pair<std::string, MachineConfig>> m;
+    m.emplace_back("4issue", baseline4Issue());
+    m.emplace_back("8issue", baseline8Issue());
+    MachineConfig tiny = baseline4Issue();
+    tiny.pipeline.ruuSize = 6;
+    tiny.pipeline.lsqSize = 4;
+    m.emplace_back("ruu6", tiny);
+    MachineConfig mid = baseline4Issue();
+    mid.pipeline.ruuSize = 48;
+    mid.pipeline.lsqSize = 24;
+    m.emplace_back("ruu48", mid);
+    return m;
+}
+
+/** FNV-1a-64 of an OoO trace, every timing field of every entry. */
+std::string
+traceHash(const std::vector<OooTraceEntry> &trace)
+{
+    std::string text;
+    for (const OooTraceEntry &e : trace) {
+        text += strfmt("%x %x %llu %llu %llu %llu\n", e.pc, e.inst.raw,
+                       static_cast<unsigned long long>(e.fetchedAt),
+                       static_cast<unsigned long long>(e.issuedAt),
+                       static_cast<unsigned long long>(e.doneAt),
+                       static_cast<unsigned long long>(e.committedAt));
+    }
+    return ArtifactCache::keyHash(text);
+}
+
+/** FNV-1a-64 of every counter a run left in @p stats. */
+std::string
+statsHash(const StatSet &stats)
+{
+    std::string text;
+    for (const auto &[name, value] : stats.snapshot())
+        text += name + "=" + std::to_string(value) + "\n";
+    return ArtifactCache::keyHash(text);
+}
+
+/**
+ * The lines of tests/golden/ooo_cycles.txt. Kernels:
+ * "kernel <name> <machine> <cycles> <retired> <trace fnv1a64>";
+ * profiles: "profile <name> <machine> <model> <cycles> <retired>
+ * <stats fnv1a64>" at 200k instructions.
+ */
+std::string
+oooCyclePins()
+{
+    std::string out;
+    for (const auto &[kname, src] : oooKernels()) {
+        for (const auto &[mname, mc] : oooPinMachines()) {
+            TimedEnv env(src, mc.icache);
+            std::vector<OooTraceEntry> trace;
+            OoOPipeline pipe(mc.pipeline, env.exec, env.fetch, env.data,
+                             env.stats);
+            pipe.setTraceSink(&trace);
+            RunResult r = pipe.run(100000);
+            out += strfmt("kernel %s %s %llu %llu %s\n", kname.c_str(),
+                          mname.c_str(),
+                          static_cast<unsigned long long>(r.cycles),
+                          static_cast<unsigned long long>(r.instructions),
+                          traceHash(trace).c_str());
+        }
+    }
+    for (const BenchmarkProfile &p : standardProfiles()) {
+        Program prog = generateProgram(p);
+        codepack::CompressedImage img = codepack::compress(prog);
+        for (const auto &[mname, mc] : oooPinMachines()) {
+            if (mname != "4issue" && mname != "8issue")
+                continue;
+            for (CodeModel model : {CodeModel::Native, CodeModel::CodePack}) {
+                Machine m(prog, mc.withCodeModel(model), &img);
+                RunResult r = m.run(200000);
+                out += strfmt(
+                    "profile %s %s %s %llu %llu %s\n", p.name.c_str(),
+                    mname.c_str(),
+                    model == CodeModel::Native ? "native" : "codepack",
+                    static_cast<unsigned long long>(r.cycles),
+                    static_cast<unsigned long long>(r.instructions),
+                    statsHash(m.stats()).c_str());
+            }
+        }
+    }
+    return out;
+}
+
+TEST(OooGolden, CyclesMatchPins)
+{
+    // The committed pins were generated before any scheduler change; a
+    // mismatch means simulated OoO timing moved. If that is intended,
+    // replace the file with the regenerated lines printed below.
+    std::ifstream in(CPS_GOLDEN_DIR "/ooo_cycles.txt");
+    ASSERT_TRUE(in) << "missing " CPS_GOLDEN_DIR "/ooo_cycles.txt";
+    std::string want, line;
+    while (std::getline(in, line))
+        if (!line.empty() && line[0] != '#')
+            want += line + "\n";
+    const std::string got = oooCyclePins();
+    EXPECT_EQ(got, want) << "regenerated pins:\n" << got;
 }
 
 } // namespace
