@@ -106,8 +106,12 @@ usage()
     return 2;
 }
 
+/**
+ * Parses the `run` arguments into @p msg. Returns 0 on success, else the
+ * exit code of the usage error (reported before any connection).
+ */
 int
-cmdRun(ServiceClient &client, int argc, char **argv)
+parseRun(int argc, char **argv, MatrixRequestMsg &msg)
 {
     std::vector<std::string> benches = splitCommas(argv[0]);
     std::vector<u8> models = {static_cast<u8>(CodeModel::CodePack)};
@@ -156,7 +160,6 @@ cmdRun(ServiceClient &client, int argc, char **argv)
     if (benches.empty() || models.empty())
         return usage();
 
-    MatrixRequestMsg msg;
     msg.requestId = static_cast<u32>(::getpid());
     msg.deadlineMs = deadline_ms;
     for (const std::string &bench : benches)
@@ -168,7 +171,12 @@ cmdRun(ServiceClient &client, int argc, char **argv)
             cell.maxInsns = insns;
             msg.cells.push_back(cell);
         }
+    return 0;
+}
 
+int
+cmdRun(ServiceClient &client, const MatrixRequestMsg &msg)
+{
     MatrixReply reply = client.runMatrix(msg, 600000);
     if (reply.overloaded) {
         std::fprintf(stderr,
@@ -216,6 +224,19 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
 
+    // Every argument is checked before the daemon is contacted, so a
+    // malformed flag is a usage error whether or not one is running.
+    std::string cmd = argv[1];
+    MatrixRequestMsg msg;
+    if (cmd == "run") {
+        if (argc < 3)
+            return usage();
+        if (int rc = parseRun(argc - 2, argv + 2, msg))
+            return rc;
+    } else if (cmd != "ping" && cmd != "stats") {
+        return usage();
+    }
+
     ServiceClient client;
     if (!client.connect(socketPath(), 5000)) {
         std::fprintf(stderr, "cpsclient: cannot connect to %s\n",
@@ -223,7 +244,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::string cmd = argv[1];
     if (cmd == "ping") {
         bool ok = client.ping(5000);
         std::printf("%s\n", ok ? "alive" : "no pong");
@@ -238,7 +258,5 @@ main(int argc, char **argv)
         std::fputs(text.c_str(), stdout);
         return 0;
     }
-    if (cmd == "run" && argc >= 3)
-        return cmdRun(client, argc - 2, argv + 2);
-    return usage();
+    return cmdRun(client, msg);
 }

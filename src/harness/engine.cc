@@ -41,7 +41,8 @@ constexpr int kTestExitCode = 42;
 } // namespace
 
 std::vector<CellOutcome>
-runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
+runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads,
+               const CellRunnerConfig &policy)
 {
     for (const RunRequest &r : requests)
         cps_assert(r.bench != nullptr, "runMatrixCells request without bench");
@@ -52,7 +53,7 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
     if (threads == 0)
         threads = defaultThreadCount();
 
-    const CellRunner runner(CellRunnerConfig::fromEnv());
+    const CellRunner runner(policy);
 
     // Resume journal: replay completed cells, execute the rest, and
     // record each newly completed cell as soon as it finishes.

@@ -39,15 +39,17 @@ namespace harness
 {
 
 /**
- * Runs every request under the process-wide resilience policy
- * (CellRunnerConfig::fromEnv + CPS_RESUME journaling) and returns
- * result + status per cell, in submission order.
+ * Runs every request under a resilience policy (by default the
+ * process-wide CellRunnerConfig::fromEnv) with CPS_RESUME journaling,
+ * and returns result + status per cell, in submission order.
  * @param requests the matrix cells; each bench pointer must be valid
  * @param threads worker count; 0 means defaultThreadCount()
+ * @param policy isolation, deadline and retry policy for every cell
  */
 std::vector<CellOutcome>
 runMatrixCells(const std::vector<RunRequest> &requests,
-               unsigned threads = 0);
+               unsigned threads = 0,
+               const CellRunnerConfig &policy = CellRunnerConfig::fromEnv());
 
 /**
  * Formats a metric of one already-fetched cell, degrading to its
@@ -106,9 +108,9 @@ class Matrix
 
     /** Executes all queued runs (parallel; see runMatrixCells). */
     void
-    run()
+    run(const CellRunnerConfig &policy = CellRunnerConfig::fromEnv())
     {
-        cells_ = runMatrixCells(requests_);
+        cells_ = runMatrixCells(requests_, 0, policy);
         cursor_ = 0;
     }
 

@@ -5,10 +5,11 @@
  * address stack.
  *
  * The simulator is timing-directed along the correct path: on a
- * misprediction, fetch stalls until the branch resolves instead of
- * running the wrong path (a standard trace-driven approximation; the
- * penalty in cycles matches, wrong-path cache pollution is not
- * modelled).
+ * misprediction, correct-path fetch stalls until the branch resolves.
+ * The outcome names the wrong path (ControlOutcome::wrongPath); both
+ * pipelines fetch down it through the I-cache meanwhile
+ * (simulateWrongPath), so its misses pollute the cache and occupy the
+ * memory channel, but its instructions are never executed.
  */
 
 #ifndef CPS_PIPELINE_FRONTEND_HH

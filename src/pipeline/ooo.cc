@@ -1,6 +1,7 @@
 #include "ooo.hh"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "common/watchdog.hh"
@@ -10,37 +11,35 @@ namespace cps
 
 OoOPipeline::OoOPipeline(const PipelineConfig &cfg, TraceSource &src,
                          FetchPath &fetch, DataPath &data, StatSet &stats)
-    : cfg_(cfg), src_(src), fetch_(fetch), data_(data),
-      frontend_(cfg.predictor, stats),
-      statInsns_(stats.scalar("pipeline.insns")),
-      statCycles_(stats.scalar("pipeline.cycles"))
-{
-    cps_assert(cfg.ruuSize >= cfg.width, "RUU smaller than machine width");
-    ruu_.resize(cfg.ruuSize);
-    fuFree_[kFuAlu].assign(cfg.numAlu, 0);
-    fuFree_[kFuMult].assign(cfg.numMult, 0);
-    fuFree_[kFuMem].assign(cfg.numMemPorts, 0);
-    fuFree_[kFuFpAlu].assign(cfg.numFpAlu, 0);
-    fuFree_[kFuFpMult].assign(cfg.numFpMult, 0);
-    regProducer_.fill(kNoSeq);
-}
+    : OoOPipeline(cfg, nullptr, &src, fetch, data, stats)
+{}
 
 OoOPipeline::OoOPipeline(const PipelineConfig &cfg, Executor &exec,
                          FetchPath &fetch, DataPath &data, StatSet &stats)
-    : cfg_(cfg), ownedSrc_(std::make_unique<LiveTraceSource>(exec)),
-      src_(*ownedSrc_), fetch_(fetch), data_(data),
+    : OoOPipeline(cfg, std::make_unique<LiveTraceSource>(exec), nullptr,
+                  fetch, data, stats)
+{}
+
+OoOPipeline::OoOPipeline(const PipelineConfig &cfg,
+                         std::unique_ptr<LiveTraceSource> owned_src,
+                         TraceSource *src, FetchPath &fetch, DataPath &data,
+                         StatSet &stats)
+    : cfg_(cfg), ownedSrc_(std::move(owned_src)),
+      src_(src ? *src : *ownedSrc_), fetch_(fetch), data_(data),
       frontend_(cfg.predictor, stats),
       statInsns_(stats.scalar("pipeline.insns")),
       statCycles_(stats.scalar("pipeline.cycles"))
 {
     cps_assert(cfg.ruuSize >= cfg.width, "RUU smaller than machine width");
-    ruu_.resize(cfg.ruuSize);
-    fuFree_[kFuAlu].assign(cfg.numAlu, 0);
-    fuFree_[kFuMult].assign(cfg.numMult, 0);
-    fuFree_[kFuMem].assign(cfg.numMemPorts, 0);
-    fuFree_[kFuFpAlu].assign(cfg.numFpAlu, 0);
-    fuFree_[kFuFpMult].assign(cfg.numFpMult, 0);
-    regProducer_.fill(kNoSeq);
+    ruu_.resize(std::bit_ceil(cfg.ruuSize));
+    ruuMask_ = static_cast<unsigned>(ruu_.size() - 1);
+    readyMask_.resize((ruu_.size() + 63) / 64);
+    stores_.resize(std::bit_ceil(std::max(cfg.lsqSize, 1u)));
+    pools_[kFuAlu].units = cfg.numAlu;
+    pools_[kFuMult].units = cfg.numMult;
+    pools_[kFuMem].units = cfg.numMemPorts;
+    pools_[kFuFpAlu].units = cfg.numFpAlu;
+    pools_[kFuFpMult].units = cfg.numFpMult;
 }
 
 OoOPipeline::FuPool
@@ -72,13 +71,57 @@ OoOPipeline::nonPipelined(InstClass cls) const
     return cls == InstClass::IntDiv || cls == InstClass::FpDiv;
 }
 
-bool
-OoOPipeline::producerDone(u64 seq, Cycle clock)
+inline void
+OoOPipeline::dependOn(u64 producer, unsigned consumer_slot, unsigned dep)
 {
-    if (seq == kNoSeq || seq < headSeq_)
-        return true; // never tracked, or already committed
-    const Entry &e = at(seq);
-    return e.issued && e.doneAt <= clock;
+    if (producer == kNoSeq || producer < headSeq_)
+        return; // never tracked, or already committed
+    Entry &p = at(producer);
+    Entry &c = ruu_[consumer_slot];
+    if (p.issued) {
+        c.readyAt = std::max(c.readyAt, p.doneAt);
+        return;
+    }
+    c.next[dep] = p.consumers;
+    p.consumers = static_cast<Link>(consumer_slot << 2 | dep);
+    ++c.waiting;
+}
+
+inline void
+OoOPipeline::markReady(unsigned slot, Cycle clock)
+{
+    // Nearly every operand arrives by the next cycle: such an entry joins
+    // the ready set at once, and the issue walk skips it until its cycle.
+    Cycle ready_at = ruu_[slot].readyAt;
+    if (ready_at <= clock + 1)
+        readyMask_[slot >> 6] |= u64{1} << (slot & 63);
+    else
+        wakeups_.emplace(ready_at, slot);
+}
+
+inline void
+OoOPipeline::wakeConsumers(const Entry &producer, Cycle clock)
+{
+    for (Link l = producer.consumers; l != kNoLink;) {
+        unsigned slot = l >> 2;
+        Entry &c = ruu_[slot];
+        l = c.next[l & 3];
+        c.readyAt = std::max(c.readyAt, producer.doneAt);
+        if (--c.waiting == 0)
+            markReady(slot, clock);
+    }
+}
+
+u64
+OoOPipeline::youngestStoreTo(Addr word) const
+{
+    const unsigned mask = static_cast<unsigned>(stores_.size() - 1);
+    for (unsigned i = storeCount_; i-- > 0;) {
+        const InFlightStore &s = stores_[(storeHead_ + i) & mask];
+        if (s.word == word)
+            return s.seq;
+    }
+    return kNoSeq;
 }
 
 RunResult
@@ -92,11 +135,21 @@ OoOPipeline::run(u64 max_insns)
 
     headSeq_ = tailSeq_ = 0;
     lsqCount_ = 0;
+    unissued_ = 0;
     regProducer_.fill(kNoSeq);
-    lastStoreToWord_.clear();
+    std::fill(readyMask_.begin(), readyMask_.end(), 0);
+    wakeups_ = decltype(wakeups_){};
+    completions_ = decltype(completions_){};
+    completedUncommitted_ = 0;
+    storeHead_ = storeCount_ = 0;
+    for (Pool &pool : pools_) {
+        pool.pipeCycle = kCycleNever;
+        pool.heldUntil.clear();
+    }
+    const unsigned store_mask = static_cast<unsigned>(stores_.size() - 1);
 
     auto ruu_empty = [&] { return headSeq_ == tailSeq_; };
-    auto ruu_full = [&] { return tailSeq_ - headSeq_ == ruu_.size(); };
+    auto ruu_full = [&] { return tailSeq_ - headSeq_ == cfg_.ruuSize; };
 
     // Livelock guard: the deadlock assert below catches a cycle that
     // cannot advance, but a bug where the clock advances forever with
@@ -122,20 +175,23 @@ OoOPipeline::run(u64 max_insns)
             if (trace_) {
                 OooTraceEntry t;
                 t.pc = e.pc;
-                t.inst = e.inst;
+                t.inst = *e.inst;
                 t.fetchedAt = e.fetchedAt;
                 t.issuedAt = e.issuedAt;
                 t.doneAt = e.doneAt;
                 t.committedAt = clock;
                 trace_->push_back(t);
             }
-            if (e.info->cls == InstClass::Store) {
+            if (e.cls == InstClass::Store) {
                 // Stores update the cache at commit; the write buffer
                 // hides the latency from the core.
                 data_.access(e.memAddr, true, clock);
+                storeHead_ = (storeHead_ + 1) & store_mask;
+                --storeCount_;
             }
-            if (e.info->isMem)
+            if (e.isMem)
                 --lsqCount_;
+            --completedUncommitted_;
             ++headSeq_;
             ++retired;
             ++committed;
@@ -147,60 +203,73 @@ OoOPipeline::run(u64 max_insns)
             break;
 
         // -------------------------------------------------------- issue
+        // Entries whose last operand arrives this cycle join the ready
+        // set; the walk below visits only ready entries, oldest first
+        // (from the head's ring slot to the end of the ring, then the
+        // wrapped-around part).
+        while (!wakeups_.empty() && wakeups_.top().first <= clock) {
+            unsigned slot = wakeups_.top().second;
+            readyMask_[slot >> 6] |= u64{1} << (slot & 63);
+            wakeups_.pop();
+        }
+        // Every result arrives at least a cycle after its issue, so no
+        // entry woken below can issue this cycle: walking a snapshot of
+        // each mask word is exact.
         unsigned issued = 0;
-        for (u64 seq = headSeq_; seq < tailSeq_ && issued < cfg_.width;
-             ++seq) {
-            Entry &e = at(seq);
-            if (e.issued)
-                continue;
-            if (!producerDone(e.src[0], clock) ||
-                !producerDone(e.src[1], clock) ||
-                !producerDone(e.src[2], clock)) {
-                continue;
-            }
-            if (e.info->cls == InstClass::Load &&
-                !producerDone(e.blockingStore, clock)) {
-                continue; // memory-order dependence on an older store
-            }
+        const unsigned words = static_cast<unsigned>(readyMask_.size());
+        const unsigned head = slotOf(headSeq_);
+        const u64 head_part = ~u64{0} << (head & 63);
+        for (unsigned k = 0, w = head >> 6; k <= words && issued < cfg_.width;
+             ++k, w = w + 1 == words ? 0 : w + 1) {
+            u64 bits = readyMask_[w];
+            if (k == 0)
+                bits &= head_part;
+            else if (k == words)
+                bits &= ~head_part;
+            for (; bits != 0 && issued < cfg_.width; bits &= bits - 1) {
+                const unsigned slot = w << 6 | std::countr_zero(bits);
+                Entry &e = ruu_[slot];
+                if (e.readyAt > clock)
+                    continue; // an operand arrives next cycle
+                Pool &pool = pools_[e.pool];
+                if (!pool.hasFreeUnit(clock))
+                    continue; // every unit of the pool is busy
 
-            // Function-unit availability.
-            FuPool pool = poolFor(e.info->cls);
-            Cycle *unit = nullptr;
-            for (Cycle &f : fuFree_[pool]) {
-                if (f <= clock) {
-                    unit = &f;
-                    break;
+                readyMask_[w] &= ~(u64{1} << (slot & 63));
+                e.issued = true;
+                e.issuedAt = clock;
+                --unissued_;
+                ++issued;
+                progress = true;
+                const InstClass cls = e.cls;
+                if (cls == InstClass::Load) {
+                    e.doneAt = data_.access(e.memAddr, false, clock);
+                } else if (cls == InstClass::Store) {
+                    e.doneAt = clock + 1; // address + data into the LSQ
+                } else {
+                    e.doneAt = clock + e.latency;
                 }
-            }
-            if (!unit)
-                continue;
+                pool.take(clock, !nonPipelined(cls), clock + e.latency);
+                if (e.doneAt <= clock + 1)
+                    ++completedUncommitted_;
+                else
+                    completions_.push(e.doneAt);
+                wakeConsumers(e, clock);
 
-            e.issued = true;
-            e.issuedAt = clock;
-            ++issued;
-            progress = true;
-            unsigned latency = e.info->latency;
-            if (e.info->cls == InstClass::Load) {
-                e.doneAt = data_.access(e.memAddr, false, clock);
-            } else if (e.info->cls == InstClass::Store) {
-                e.doneAt = clock + 1; // address + data into the LSQ
-            } else {
-                e.doneAt = clock + latency;
+                if (e.mispredict) {
+                    // Between now and resolution, fetch runs down the
+                    // wrong path (cache pollution + memory-channel
+                    // occupancy).
+                    simulateWrongPath(fetch_, e.wrongPath,
+                                      src_.text().base(), src_.text().end(),
+                                      clock + 1, e.doneAt, cfg_.width);
+                    // The redirect reaches fetch the cycle after
+                    // resolution, plus front-end refill.
+                    fetch_blocked_until = e.doneAt + 1 + cfg_.mispredictExtra;
+                }
+                if (e.serialize)
+                    fetch_blocked_until = e.doneAt + 1;
             }
-            *unit = nonPipelined(e.info->cls) ? clock + latency : clock + 1;
-
-            if (e.mispredict) {
-                // Between now and resolution, fetch runs down the wrong
-                // path (cache pollution + memory-channel occupancy).
-                simulateWrongPath(fetch_, e.wrongPath,
-                                  src_.text().base(), src_.text().end(),
-                                  clock + 1, e.doneAt, cfg_.width);
-                // The redirect reaches fetch the cycle after resolution,
-                // plus front-end refill.
-                fetch_blocked_until = e.doneAt + 1 + cfg_.mispredictExtra;
-            }
-            if (e.serialize)
-                fetch_blocked_until = e.doneAt + 1;
         }
 
         // ----------------------------------------------- fetch/dispatch
@@ -227,23 +296,24 @@ OoOPipeline::run(u64 max_insns)
                 break;
             }
 
-            // Dispatch into the RUU.
+            // Dispatch into the RUU, linked to the producers it waits on.
             u64 seq = tailSeq_++;
-            Entry &e = at(seq);
+            const unsigned slot = slotOf(seq);
+            Entry &e = ruu_[slot];
             e = Entry{};
             e.pc = pending->pc;
-            e.info = pending->info;
-            e.inst = *pending->inst;
+            e.inst = pending->inst;
             e.fetchedAt = clock;
-            e.op = pending->inst->op;
             e.memAddr = pending->memAddr;
+            e.latency = info.latency;
+            e.cls = info.cls;
+            e.pool = poolFor(info.cls);
+            e.isMem = info.isMem;
+            ++unissued_;
 
-            auto bind = [&](int reg, unsigned slot) {
-                if (reg == kRegNone)
-                    return;
-                u64 p = regProducer_[reg];
-                if (p != kNoSeq && p >= headSeq_)
-                    e.src[slot] = p;
+            auto bind = [&](int reg, unsigned dep) {
+                if (reg != kRegNone)
+                    dependOn(regProducer_[reg], slot, dep);
             };
             bind(info.src1, 0);
             bind(info.src2, 1);
@@ -255,15 +325,16 @@ OoOPipeline::run(u64 max_insns)
                 ++lsqCount_;
                 Addr word = pending->memAddr >> 2;
                 if (info.cls == InstClass::Load) {
-                    auto it = lastStoreToWord_.find(word);
-                    if (it != lastStoreToWord_.end() &&
-                        it->second >= headSeq_) {
-                        e.blockingStore = it->second;
-                    }
+                    // Memory-order dependence on the youngest older
+                    // store to the same word.
+                    dependOn(youngestStoreTo(word), slot, 3);
                 } else {
-                    lastStoreToWord_[word] = seq;
+                    stores_[(storeHead_ + storeCount_++) & store_mask] =
+                        InFlightStore{seq, word};
                 }
             }
+            if (e.waiting == 0)
+                markReady(slot, clock);
 
             bool is_control = info.isControl;
             StepRecord rec = *pending;
@@ -303,23 +374,25 @@ OoOPipeline::run(u64 max_insns)
         }
 
         // -------------------------------------------------------- clock
+        // Issued entries done by the next cycle leave the completion
+        // heap: the earliest result still outstanding is then its top.
+        while (!completions_.empty() && completions_.top() <= clock + 1) {
+            completions_.pop();
+            ++completedUncommitted_;
+        }
         if (progress) {
             ++clock;
         } else {
             // Nothing moved: jump to the next event.
             Cycle next = kCycleNever;
-            bool have_unissued = false;
-            for (u64 seq = headSeq_; seq < tailSeq_; ++seq) {
-                const Entry &e = at(seq);
-                if (e.issued)
-                    next = std::min(next, e.doneAt);
-                else
-                    have_unissued = true;
-            }
-            if (have_unissued) {
+            if (completedUncommitted_ > 0)
+                next = clock + 1;
+            else if (!completions_.empty())
+                next = completions_.top();
+            if (unissued_ > 0) {
                 // An unissued op may be waiting on a non-pipelined unit.
-                for (const auto &pool : fuFree_) {
-                    for (Cycle f : pool) {
+                for (const Pool &pool : pools_) {
+                    for (Cycle f : pool.heldUntil) {
                         if (f > clock)
                             next = std::min(next, f);
                     }
