@@ -145,6 +145,7 @@ OoOPipeline::run(u64 max_insns)
     for (Pool &pool : pools_) {
         pool.pipeCycle = kCycleNever;
         pool.heldUntil.clear();
+        pool.lastHeldUntil = 0;
     }
     const unsigned store_mask = static_cast<unsigned>(stores_.size() - 1);
 

@@ -143,13 +143,16 @@ class OoOPipeline
         /** Free cycles of units held by non-pipelined ops; entries at or
          *  before the current cycle are stale and ignored. */
         std::vector<Cycle> heldUntil;
+        Cycle lastHeldUntil = 0; ///< latest of heldUntil
 
         bool
         hasFreeUnit(Cycle clock) const
         {
             unsigned busy = pipeCycle == clock ? pipeUsed : 0;
-            for (Cycle f : heldUntil)
-                busy += f > clock;
+            if (lastHeldUntil > clock) {
+                for (Cycle f : heldUntil)
+                    busy += f > clock;
+            }
             return busy < units;
         }
 
@@ -168,6 +171,7 @@ class OoOPipeline
             }
             std::erase_if(heldUntil, [&](Cycle f) { return f <= clock; });
             heldUntil.push_back(free_at);
+            lastHeldUntil = std::max(lastHeldUntil, free_at);
         }
     };
 
