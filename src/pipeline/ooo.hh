@@ -29,6 +29,7 @@
 #ifndef CPS_PIPELINE_OOO_HH
 #define CPS_PIPELINE_OOO_HH
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
